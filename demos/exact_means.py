@@ -3,8 +3,11 @@
 A random density matrix rho = U diag(e) U+ (U Haar, e from the uniform
 simplex) has a mean tensor power E[rho^(x m)] that commutes with every
 W^(x m).  That pins it inside the span of the tensor-slot permutation
-operators, and the coefficients solve a small rational linear system.  This
-script walks through the exact means for several dimensions and powers.
+operators, where it acts as one scalar on each SU(N) x S_m isotypic
+component.  The scalars follow from the eigenvalue power-sum moments through
+the S_m character table, and the permutation coefficients solve the rational
+character system they define.  This script walks through the exact means for
+several dimensions and powers.
 """
 
 from fractions import Fraction

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -25,6 +26,13 @@ from .spectral import SymbolicMatrix, cluster_spectrum, selection_rule, substitu
 
 def _parse_factors(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.lower().replace("*", "x").split("x"))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_q(text: str):
@@ -70,8 +78,7 @@ def cmd_mean(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    factors = _parse_factors(args.n)
-    q = _parse_q(args.q)
+    factors, q = args.n, args.q
     if len(factors) == 1:
         result = haar_mean(factors[0], args.m, q)
     else:
@@ -84,7 +91,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    mat = jsonio.any_matrix_to_float(jsonio.load_json(args.infile))
+    obj = jsonio.load_json(args.infile)
+    # oracle and mean artifacts carry their matrix under "matrix"
+    mat = jsonio.any_matrix_to_float(obj.get("matrix", obj))
     vals, vecs = hermitian_eig(mat, tol=args.tol * 100)
     dec = cluster_spectrum(vals, vecs, cluster_tol=args.tol)
     payload = {
@@ -157,6 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact and Monte Carlo means of tensor powers of random density matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse applies ``type`` to a string default, so a malformed
+    # RHOMEAN_WORKERS is reported as a usage error
+    workers_default = os.environ.get("RHOMEAN_WORKERS") or default_workers()
 
     p = sub.add_parser("sample", help="draw one random density matrix")
     p.add_argument("--measure", required=True, help="measure JSON (inline or file path)")
@@ -167,17 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mean", help="Monte Carlo mean of rho^(x m)")
     p.add_argument("--measure", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, default=workers_default)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_mean)
 
     p = sub.add_parser("oracle", help="exact mean via the permutation-operator span")
-    p.add_argument("--n", required=True, help="dimension, or factors like 2x3x2")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", default="0", help="Dirichlet exponent (rational), or comma list")
+    p.add_argument("--n", type=_parse_factors, required=True, help="dimension, or factors like 2x3x2")
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--q", type=_parse_q, default="0", help="Dirichlet exponent (rational), or comma list")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_oracle)
 
@@ -212,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, default=workers_default)
     p.add_argument("--full-budget", action="store_true", help="use full published budgets")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)

@@ -113,6 +113,17 @@ def reorder_subsystems(rho: np.ndarray, dims: list[int], perm: tuple[int, ...]) 
     return rho.reshape(dims + dims).transpose(axes).reshape(d, d)
 
 
+def permutation_rows(sigma: tuple[int, ...], n: int) -> np.ndarray:
+    """Row index of the single 1 in each column of V_sigma on (C^n)^(x len(sigma)).
+
+    Column digit k (row-major mixed radix) moves to slot sigma[k], whose
+    stride is n^(m-1-sigma[k]).
+    """
+    m = len(sigma)
+    digits = np.indices((n,) * m).reshape(m, n**m)
+    return (n ** (m - 1 - np.asarray(sigma))) @ digits
+
+
 def permutation_operator(sigma: tuple[int, ...], n: int, m: int, cap: int = DIM_CAP) -> np.ndarray:
     """Matrix of the tensor-slot permutation sigma (0-based images) on (C^n)^(x m).
 
@@ -124,16 +135,7 @@ def permutation_operator(sigma: tuple[int, ...], n: int, m: int, cap: int = DIM_
     d = n**m
     check_dim_cap(d, cap)
     op = np.zeros((d, d))
-    # strides of each slot in the row-major mixed-radix index
-    weights = [n ** (m - 1 - k) for k in range(m)]
-    for col in range(d):
-        digits = []
-        c = col
-        for k in range(m):
-            digits.append(c // weights[k])
-            c %= weights[k]
-        row = sum(digits[k] * weights[sigma[k]] for k in range(m))
-        op[row, col] = 1.0
+    op[permutation_rows(sigma, n), np.arange(d)] = 1.0
     return op
 
 

@@ -41,9 +41,6 @@ class RandomStream:
         key = [self.seed & _MASK64, self.stream_id & _MASK64]
         return np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, k: int) -> "RandomStream":
-        return RandomStream(self.seed, (self.stream_id * 0x9E3779B97F4A7C15 + k) & _MASK64)
-
 
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RandomStream):
@@ -118,18 +115,24 @@ class ProductMeasure:
 MeasureSpec = HaarDirichletMeasure | BlochBallMeasure | ProductMeasure
 
 
+def _field(obj: dict, name: str):
+    if name not in obj:
+        raise ValueError(f"measure JSON lacks the field {name!r}")
+    return obj[name]
+
+
 def measure_from_json(obj: dict) -> MeasureSpec:
     kind = obj.get("type")
     if kind in ("zhsl", "haar-dirichlet"):
-        n = int(obj["n"])
+        n = int(_field(obj, "n"))
         q = obj.get("q", [0.0] * n)
         if isinstance(q, (int, float)):
             q = [q] * n
         return HaarDirichletMeasure(n=n, q=tuple(float(x) for x in q))
     if kind == "bloch":
-        return BlochBallMeasure(u=float(obj["u"]))
+        return BlochBallMeasure(u=float(_field(obj, "u")))
     if kind == "product":
-        return ProductMeasure(factors=tuple(measure_from_json(f) for f in obj["factors"]))
+        return ProductMeasure(factors=tuple(measure_from_json(f) for f in _field(obj, "factors")))
     raise ValueError(f"unknown measure type: {kind!r}")
 
 

@@ -21,6 +21,7 @@ from .measures import (
     MeasureSpec,
     ProductMeasure,
     RandomStream,
+    _kron_batch,
     sample_density_batch,
 )
 
@@ -74,9 +75,7 @@ def _chunk_stats(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     rho = sample_density_batch(spec, count, gen)
     power = rho
     for _ in range(m - 1):
-        b, p, _ = power.shape
-        q = rho.shape[1]
-        power = np.einsum("bij,bkl->bikjl", power, rho).reshape(b, p * q, p * q)
+        power = _kron_batch(power, rho)
     mean = power.mean(axis=0)
     m2_re = np.square(power.real - mean.real).sum(axis=0)
     m2_im = np.square(power.imag - mean.imag).sum(axis=0)

@@ -4,15 +4,19 @@ For a random density matrix rho = U diag(e) U+ with U Haar on U(N) and
 eigenvalues e drawn from a symmetric simplex law, the mean of rho^(x m)
 commutes with every W^(x m) and therefore lies in the span of the tensor-slot
 permutation operators V_sigma.  Conjugation invariance under S_m further
-restricts it to the span of class sums, so the coefficients are obtained from
-a p(m) x p(m) rational linear system
+restricts it to the span of class sums W_K, which act on the SU(N) x S_m
+isotypic component lam of (C^N)^(x m) as the scalar |K| chi^lam(K) / f^lam.
+The mean acts there as the scalar
 
-    sum_K a_K tr(W_K V_tau) = E[prod_{cycles c of tau} tr(rho^{|c|})],
+    c_lam = E[s_lam(e)] / dim_U(lam),
+    E[s_lam(e)] = sum_mu chi^lam(mu) |mu| E[p_mu(e)] / m!,
 
-whose right-hand side reduces to simplex moments.  Everything is computed in
-exact rational arithmetic; eigenvalues and multiplicities come from the
-irreducible-component decomposition of (C^N)^(x m), not from floating-point
-diagonalization.
+so the class coefficients solve the character system
+sum_K a_K |K| chi^lam(K) / f^lam = c_lam, one row per lam with at most N
+rows, whose right-hand side reduces to simplex moments of the power sums.
+Everything is computed in exact rational arithmetic; eigenvalues and
+multiplicities come from the irreducible-component decomposition of
+(C^N)^(x m), not from floating-point diagonalization.
 """
 
 from __future__ import annotations
@@ -20,15 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import numpy as np
 
-from .linalg import DIM_CAP, Scenario, check_dim_cap, reorder_subsystems
+from .linalg import DIM_CAP, Scenario, check_dim_cap, permutation_rows, reorder_subsystems
 from .symmetry import (
     character,
-    compose,
+    class_size,
     conjugacy_classes,
-    cycle_type,
     partitions,
     symmetric_group_dimension,
     unitary_group_dimension,
@@ -97,9 +101,8 @@ def solve_rational_system(
     """Exact solution of a (possibly singular but consistent) linear system.
 
     Gauss-Jordan over Fraction with free variables pinned to zero.  Any such
-    solution of the commutant projection system reproduces the same matrix,
-    because the residual would be simultaneously inside the permutation span
-    and orthogonal to it.
+    solution of the character system reproduces the same matrix, because a
+    class-sum combination is fixed by its scalar on every isotypic component.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
@@ -156,24 +159,21 @@ class OracleResult:
         return sum(self.mean[i, i] for i in range(self.mean.shape[0]))
 
 
-def _class_coefficients(
-    n: int, m: int, q: QLike
-) -> dict[tuple[int, ...], Fraction]:
-    classes = conjugacy_classes(m)
-    types = sorted(classes)
-    gram_rows = []
-    rhs = []
-    nf = Fraction(n)
-    for ct_row in types:
-        tau = classes[ct_row][0]
-        row = [
-            sum(nf ** len(cycle_type(compose(s, tau))) for s in classes[ct_k])
-            for ct_k in types
-        ]
-        gram_rows.append(row)
-        rhs.append(power_sum_moment(n, q, ct_row))
-    sol = solve_rational_system(gram_rows, rhs)
-    return dict(zip(types, sol))
+def _irreps(n: int, m: int) -> list[tuple[int, int, list[Fraction]]]:
+    """(f^lam, dim_U(lam), r_lam) per partition lam of m with at most n rows.
+
+    r_lam[K] = |K| chi^lam(K) / f^lam is the scalar by which the class sum
+    W_K acts on the isotypic component lam; K runs over sorted(partitions(m)).
+    """
+    types = sorted(partitions(m))
+    out = []
+    for lam in partitions(m):
+        wdim = unitary_group_dimension(lam, n)
+        if wdim == 0:
+            continue
+        f = symmetric_group_dimension(lam)
+        out.append((f, wdim, [Fraction(class_size(ct) * character(lam, ct), f) for ct in types]))
+    return out
 
 
 def haar_mean(
@@ -191,22 +191,29 @@ def haar_mean(
     d = n**m
     check_dim_cap(d, cap)
     qs = _as_q_vector(n, q)
-    class_coeff = _class_coefficients(n, m, qs)
-    classes = conjugacy_classes(m)
+    types = sorted(partitions(m))
+    moments = [power_sum_moment(n, qs, ct) for ct in types]
+    irreps = _irreps(n, m)
+    # sum_mu chi^lam(mu) |mu| E[p_mu] / m! = f^lam (r_lam . moments) / m!
+    rhs = [
+        f * sum(r * p for r, p in zip(row, moments)) / (factorial(m) * wdim)
+        for f, wdim, row in irreps
+    ]
+    # Gauss-Jordan pins the free classes of a rank-deficient system (n < m)
+    # to zero, so the dense build below skips them.
+    class_coeff = dict(zip(types, solve_rational_system([row for _, _, row in irreps], rhs)))
 
     mean = np.full((d, d), Fraction(0), dtype=object)
-    weights = [n ** (m - 1 - k) for k in range(m)]
-    index_tuples = list(product(range(n), repeat=m))
+    flat = mean.reshape(-1)
+    cols = np.arange(d)
     coefficients: dict[tuple[int, ...], Fraction] = {}
-    for ct, elems in classes.items():
+    for ct, elems in conjugacy_classes(m).items():
         c = class_coeff[ct]
         for sigma in elems:
             coefficients[sigma] = c
-            if c == 0:
-                continue
-            for col, digits in enumerate(index_tuples):
-                row = sum(digits[k] * weights[sigma[k]] for k in range(m))
-                mean[row, col] += c
+            if c != 0:
+                # V_sigma is a permutation matrix: the indices are distinct
+                flat[permutation_rows(sigma, n) * d + cols] += c
     return OracleResult(
         mean=mean,
         coefficients=coefficients,
@@ -228,20 +235,10 @@ def exact_spectrum(result: OracleResult) -> list[tuple[Fraction, int]]:
         (n,) = result.scenario.factors
         m = result.scenario.power
         classes = conjugacy_classes(m)
-        class_coeff = {ct: result.coefficients[elems[0]] for ct, elems in classes.items()}
+        coeffs = [result.coefficients[classes[ct][0]] for ct in sorted(classes)]
         spec: dict[Fraction, int] = {}
-        for lam in partitions(m):
-            wdim = unitary_group_dimension(lam, n)
-            if wdim == 0:
-                continue
-            f = symmetric_group_dimension(lam)
-            val = (
-                sum(
-                    class_coeff[ct] * len(classes[ct]) * character(lam, ct)
-                    for ct in classes
-                )
-                / f
-            )
+        for f, wdim, row in _irreps(n, m):
+            val = sum(r * a for r, a in zip(row, coeffs))
             spec[val] = spec.get(val, 0) + f * wdim
         return sorted(spec.items())
     if result.factor_spectra is None:
@@ -289,29 +286,3 @@ def composite_haar_mean(
         q=tuple(fr.q[0] for fr in factor_results),
         factor_spectra=tuple(tuple(fr.spectrum()) for fr in factor_results),
     )
-
-
-def permutation_images(sigma: tuple[int, ...], n: int) -> list[int]:
-    """Column -> row index map of V_sigma on (C^n)^(x m), without the matrix."""
-    m = len(sigma)
-    weights = [n ** (m - 1 - k) for k in range(m)]
-    rows = []
-    for digits in product(range(n), repeat=m):
-        rows.append(sum(digits[k] * weights[sigma[k]] for k in range(m)))
-    return rows
-
-
-def reconstruct_from_coefficients(result: OracleResult) -> np.ndarray:
-    """Rebuild sum_sigma c_sigma V_sigma; used to assert exact reconstruction."""
-    if result.coefficients is None:
-        raise ValueError("composite results carry no permutation coefficients")
-    (n,) = result.scenario.factors
-    m = result.scenario.power
-    d = n**m
-    out = np.full((d, d), Fraction(0), dtype=object)
-    for sigma, c in result.coefficients.items():
-        if c == 0:
-            continue
-        for col, row in enumerate(permutation_images(sigma, n)):
-            out[row, col] += c
-    return out

@@ -92,18 +92,17 @@ def _conjugate_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))
 
 
-def hook_length(lam: tuple[int, ...], i: int, j: int) -> int:
+def _hook_lengths(lam: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(row, column, hook length) for every cell of the Young diagram of lam."""
     conj = _conjugate_partition(lam)
-    return lam[i] - j + conj[j] - i - 1
+    return [(i, j, row - j + conj[j] - i - 1) for i, row in enumerate(lam) for j in range(row)]
 
 
 def symmetric_group_dimension(lam: tuple[int, ...]) -> int:
     """Dimension f^lam of the S_m irrep labelled by lam (hook-length formula)."""
-    n = sum(lam)
-    d = factorial(n)
-    for i, row in enumerate(lam):
-        for j in range(row):
-            d //= hook_length(lam, i, j)
+    d = factorial(sum(lam))
+    for _, _, hook in _hook_lengths(lam):
+        d //= hook
     return d
 
 
@@ -112,9 +111,8 @@ def unitary_group_dimension(lam: tuple[int, ...], n: int) -> int:
     if len(lam) > n:
         return 0
     val = Fraction(1)
-    for i, row in enumerate(lam):
-        for j in range(row):
-            val *= Fraction(n + j - i, hook_length(lam, i, j))
+    for i, j, hook in _hook_lengths(lam):
+        val *= Fraction(n + j - i, hook)
     assert val.denominator == 1
     return int(val)
 

@@ -120,6 +120,24 @@ def test_spectrum_command(tmp_path):
     ]
 
 
+def test_spectrum_command_reads_artifacts(tmp_path):
+    oracle_out = tmp_path / "mean.json"
+    assert main(["oracle", "--n", "2", "--m", "2", "--q", "0", "--out", str(oracle_out)]) == 0
+    spec_out = tmp_path / "spec.json"
+    assert main(["spectrum", "--in", str(oracle_out), "--out", str(spec_out)]) == 0
+    clusters = load_json(spec_out)["clusters"]
+    assert [(round(c["value"], 12), c["multiplicity"]) for c in clusters] == [
+        (round(1 / 6, 12), 1),
+        (round(5 / 18, 12), 3),
+    ]
+    mean_out = tmp_path / "est.json"
+    measure = '{"type":"zhsl","n":2,"q":[0,0]}'
+    assert main(["mean", "--measure", measure, "--m", "2", "--samples", "1000", "--workers", "1",
+                 "--out", str(mean_out)]) == 0
+    assert main(["spectrum", "--in", str(mean_out), "--tol", "1e-2", "--out", str(spec_out)]) == 0
+    assert sum(c["multiplicity"] for c in load_json(spec_out)["clusters"]) == 4
+
+
 def test_sample_command(tmp_path):
     out = tmp_path / "rho.json"
     assert main(["sample", "--measure", '{"type":"bloch","u":-2}', "--seed", "5", "--out", str(out)]) == 0
@@ -156,11 +174,27 @@ def test_spectrum_command_accepts_symbolic_matrix(tmp_path):
     assert sorted(c["multiplicity"] for c in clusters) == [1, 1, 1, 1, 2, 3]
 
 
-def test_usage_and_failure_exit_codes(capsys):
+def test_usage_and_failure_exit_codes(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--m", "2"])  # missing --n
     assert exc.value.code == 2
     assert main(["oracle", "--n", "2", "--m", "2", "--q", "1"]) == 1  # q >= 1
     assert main(["subst-v", "--fixture", "n3m2", "--v", "0"]) == 1
     assert main(["verify"]) == 2
+    for argv in (
+        ["oracle", "--n", "2", "--m", "0"],
+        ["oracle", "--n", "2x", "--m", "2"],
+        ["oracle", "--n", "2", "--m", "2", "--q", "x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    monkeypatch.setenv("RHOMEAN_WORKERS", "abc")
+    assert main(["ks", "--m", "2", "--u", "0"]) == 0  # takes no --workers
+    with pytest.raises(SystemExit) as exc:
+        main(["mean", "--measure", '{"type":"bloch","u":-2}', "--m", "2", "--samples", "100"])
+    assert exc.value.code == 2
+    monkeypatch.delenv("RHOMEAN_WORKERS")
+    assert main(["sample", "--measure", '{"type":"zhsl"}']) == 1  # no "n"
+    assert "'n'" in capsys.readouterr().err
     capsys.readouterr()

@@ -20,9 +20,24 @@ from rhomean.oracle import (
     dirichlet_moment,
     haar_mean,
     power_sum_moment,
-    reconstruct_from_coefficients,
     solve_rational_system,
 )
+from rhomean.symmetry import cycle_type
+
+
+def reconstruct(result):
+    """sum_sigma c_sigma V_sigma, built from the dense permutation operators."""
+    (n,) = result.scenario.factors
+    m = result.scenario.power
+    # group sigma by coefficient, so the exact products run once per group
+    sums = {}
+    for sigma, c in result.coefficients.items():
+        sums[c] = sums.get(c, 0) + permutation_operator(sigma, n, m)
+    out = np.full((n**m, n**m), F(0), dtype=object)
+    for c, v in sums.items():
+        hit = v != 0
+        out[hit] += c * v[hit].astype(int)
+    return out
 
 
 def simplex_quadrature_moment(exponents, steps=400):
@@ -131,7 +146,7 @@ def test_two_level_spectra(m, table):
 @pytest.mark.parametrize("q", [F(0), F(1, 2)])
 def test_reconstruction_and_exactness(n, m, q):
     result = haar_mean(n, m, q)
-    assert np.all(reconstruct_from_coefficients(result) == result.mean)
+    assert np.all(reconstruct(result) == result.mean)
     assert result.trace() == 1
     # real and exactly symmetric: classes are closed under inversion
     assert np.all(result.mean == result.mean.T)
@@ -176,10 +191,51 @@ def test_mean_commutes_with_slot_permutations():
 
 def test_dependent_permutation_operators_still_solve():
     # for two-level systems and m >= 3 the permutation operators are linearly
-    # dependent; any exact solution of the projection system gives the mean
+    # dependent; any exact solution of the character system gives the mean
     result = haar_mean(2, 4, 0)
-    assert np.all(reconstruct_from_coefficients(result) == result.mean)
+    assert np.all(reconstruct(result) == result.mean)
     assert result.trace() == 1
+    # the coefficients are not unique here; Gauss-Jordan pins the free
+    # classes to zero, and these values are part of the artifact format
+    by_type = {cycle_type(s): c for s, c in result.coefficients.items()}
+    assert by_type == {
+        (1, 1, 1, 1): F(7, 300),
+        (2, 1, 1): F(11, 900),
+        (2, 2): F(1, 300),
+        (3, 1): F(0),
+        (4,): F(0),
+    }
+
+
+def _partial_trace_last(mean, n):
+    d = mean.shape[0] // n
+    blocks = mean.reshape(d, n, d, n)
+    return sum(blocks[:, i, :, i] for i in range(n))
+
+
+@st.composite
+def _oracle_cases(draw):
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2, {2: 6, 3: 5, 4: 4}[n]))  # n^m <= 256
+    q = draw(
+        st.lists(
+            st.fractions(min_value=-2, max_value=F(3, 4), max_denominator=6),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return n, m, q
+
+
+@given(_oracle_cases())
+@settings(max_examples=15, deadline=None)
+def test_oracle_exact_invariants_property(case):
+    n, m, q = case
+    result = haar_mean(n, m, q)
+    assert np.all(reconstruct(result) == result.mean)
+    assert result.trace() == 1
+    # tracing out the last slot of E[rho^(x m)] gives E[rho^(x (m-1))]
+    assert np.all(_partial_trace_last(result.mean, n) == haar_mean(n, m - 1, q).mean)
 
 
 def test_composite_single_factor_matches_plain():
