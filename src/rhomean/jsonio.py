@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,12 +97,15 @@ def any_matrix_to_float(obj: dict, v: float | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# permutations in cycle notation (1-based), e.g. "(12)(34)"; identity is "()"
+# permutations in cycle notation (1-based), e.g. "(12)(34)"; identity is "()".
+# Up to m = 9 every entry is one digit and entries are written side by side;
+# from m = 10 on they are comma-separated, e.g. "(1,2,10)".
 # ---------------------------------------------------------------------------
 
 
 def perm_to_cycles(sigma: tuple[int, ...]) -> str:
     m = len(sigma)
+    sep = "" if m <= 9 else ","
     seen = [False] * m
     parts = []
     for start in range(m):
@@ -114,19 +118,25 @@ def perm_to_cycles(sigma: tuple[int, ...]) -> str:
             seen[j] = True
             cyc.append(j + 1)
             j = sigma[j]
-        parts.append("(" + "".join(str(x) for x in cyc) + ")")
+        parts.append("(" + sep.join(str(x) for x in cyc) + ")")
     return "".join(parts) if parts else "()"
 
 
 def cycles_to_perm(text: str, m: int) -> tuple[int, ...]:
-    perm = list(range(m))
+    """Parse either cycle form; entries must be distinct and within 1..m."""
     body = text.strip()
-    if body in ("()", ""):
-        return tuple(perm)
-    for chunk in body.replace(")(", ")|(").split("|"):
-        digits = [int(ch) - 1 for ch in chunk.strip("()")]
-        for a, b in zip(digits, digits[1:] + digits[:1]):
-            perm[a] = b
+    if not re.fullmatch(r"(\([0-9,]*\))*", body):
+        raise ValueError(f"malformed cycle notation: {text!r}")
+    perm = list(range(m))
+    seen: set[int] = set()
+    for cycle in re.findall(r"\(([0-9,]*)\)", body):
+        entries = [int(x) for x in (cycle.split(",") if "," in cycle else cycle)]
+        for x in entries:
+            if not 1 <= x <= m or x in seen:
+                raise ValueError(f"cycle entry {x} is out of range or repeated in {text!r}")
+            seen.add(x)
+        for a, b in zip(entries, entries[1:] + entries[:1]):
+            perm[a - 1] = b - 1
     return tuple(perm)
 
 

@@ -2,10 +2,17 @@
 
 Work is split into fixed-size chunks; chunk i draws from the Philox stream
 keyed by (seed, i), so the sample set is a pure function of (seed, n_samples)
-and cannot depend on the number of workers or on scheduling.  Each chunk
-reduces to (count, mean, sum-of-squared-deviations) with numpy's pairwise
+and cannot depend on the number of workers or on scheduling.
+
+An entry of rho^(x m) is the product of the m entries rho[i_k, j_k], so it
+depends only on the multiset of its m (row, col) pairs: of the D^(2m) entries
+only C(D^2 + m - 1, m) are distinct.  This holds for every tensor power,
+whatever the measure, so the estimator still assumes nothing about the law.
+Each chunk forms just those distinct monomials from the flattened draws and
+reduces them to (count, mean, sum-of-squared-deviations) with numpy's pairwise
 summation; chunks are then merged in a deterministic binary tree, which keeps
-repeated runs bitwise identical.
+repeated runs bitwise identical, and the merged vectors are scattered to the
+D^m x D^m matrix once at the end.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,11 +29,13 @@ from .measures import (
     MeasureSpec,
     ProductMeasure,
     RandomStream,
-    _kron_batch,
     sample_density_batch,
 )
 
-#: target number of complex matrix entries held per chunk batch
+#: Target number of D^m x D^m entries per chunk batch.  The chunk boundaries
+#: fix the Philox draws, so they are deliberately still sized on the D^(2m)
+#: dense entries rather than on the far fewer distinct monomials a chunk now
+#: computes: re-sizing them would re-draw every seeded estimate.
 _CHUNK_ENTRY_BUDGET = 2_000_000
 
 
@@ -44,6 +54,25 @@ def scenario_for(spec: MeasureSpec, m: int) -> Scenario:
 
 def chunk_size_for(dim: int) -> int:
     return max(32, min(8192, _CHUNK_ENTRY_BUDGET // (dim * dim)))
+
+
+@lru_cache(maxsize=None)
+def monomial_table(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct entries of rho^(x m) for a dim x dim rho, as products of m entries.
+
+    Returns ``(pairs, index)``.  Row k of the (M, m) array ``pairs`` holds the
+    sorted flat positions i * dim + j of the m entries of rho whose product is
+    monomial k; ``index[I * dim**m + J]`` is the monomial of entry (I, J) of
+    the row-major Kronecker power.  Each entry's sorted pair codes are encoded
+    in base dim^2, which fits int64 because dim^(2m) <= DIM_CAP^2.
+    """
+    d2 = dim * dim
+    digits = np.indices((dim,) * (2 * m), dtype=np.int32).reshape(2 * m, -1)
+    codes = np.sort((digits[:m] * dim + digits[m:]).T, axis=1)
+    weights = d2 ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    keys, index = np.unique(codes @ weights, return_inverse=True)
+    pairs = keys[:, None] // weights % d2
+    return pairs, index
 
 
 @dataclass(frozen=True)
@@ -70,12 +99,14 @@ class MeanEstimate:
 
 
 def _chunk_stats(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(count, mean, M2_re, M2_im) of one chunk over the distinct monomials."""
     spec, m, seed, chunk_index, count = args
     gen = RandomStream(seed, chunk_index).generator()
-    rho = sample_density_batch(spec, count, gen)
-    power = rho
-    for _ in range(m - 1):
-        power = _kron_batch(power, rho)
+    flat = sample_density_batch(spec, count, gen).reshape(count, -1)
+    pairs, _ = monomial_table(spec.dim, m)
+    power = flat[:, pairs[:, 0]]
+    for k in range(1, m):
+        power *= flat[:, pairs[:, k]]
     mean = power.mean(axis=0)
     m2_re = np.square(power.real - mean.real).sum(axis=0)
     m2_im = np.square(power.imag - mean.imag).sum(axis=0)
@@ -132,6 +163,8 @@ def estimate_mean(
     if n_samples % size:
         counts.append(n_samples % size)
     jobs = [(spec, m, seed, i, c) for i, c in enumerate(counts)]
+    # built before the pool forks, so the workers inherit the cached table
+    _, index = monomial_table(spec.dim, m)
 
     if workers == 1 or len(jobs) == 1:
         stats = [_chunk_stats(j) for j in jobs]
@@ -141,6 +174,8 @@ def estimate_mean(
             stats = pool.map(_chunk_stats, jobs, chunksize=1)
 
     n, mean, m2_re, m2_im = _tree_reduce(stats)
+    shape = (scenario.dim, scenario.dim)
+    mean, m2_re, m2_im = (v[index].reshape(shape) for v in (mean, m2_re, m2_im))
     denom = n * (n - 1)
     stderr_re = np.sqrt(m2_re / denom)
     stderr_im = np.sqrt(m2_im / denom)

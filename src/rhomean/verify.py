@@ -49,6 +49,7 @@ class Report:
         return {
             "case": self.case,
             "status": self.status,
+            "gated": self.gated,
             "max_z": self.max_z,
             "max_abs_delta": self.max_abs_delta,
             "notes": self.notes,

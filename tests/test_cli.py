@@ -35,6 +35,49 @@ def test_cycle_notation_round_trip():
             assert cycles_to_perm(perm_to_cycles(p), m) == p
 
 
+def test_cycle_notation_beyond_nine_slots():
+    import random
+
+    gen = random.Random(0)
+    for m in (10, 12):
+        for _ in range(200):
+            p = list(range(m))
+            gen.shuffle(p)
+            assert cycles_to_perm(perm_to_cycles(tuple(p)), m) == tuple(p)
+    ten_cycle = tuple(range(1, 10)) + (0,)
+    assert perm_to_cycles(ten_cycle) == "(1,2,3,4,5,6,7,8,9,10)"
+    assert perm_to_cycles((1, 0) + tuple(range(2, 10))) == "(1,2)"
+    for bad in ("(1,11)", "(0,1)", "(1,2)(2,3)", "(1,1)", "(12)(13)", "(12", "1,2"):
+        with pytest.raises(ValueError):
+            cycles_to_perm(bad, 10)
+
+
+def test_oracle_artifact_round_trips_at_ten_slots():
+    import random
+    from fractions import Fraction
+
+    from rhomean.linalg import Scenario
+    from rhomean.oracle import OracleResult
+
+    gen = random.Random(1)
+    coefficients = {tuple(range(10)): Fraction(1, 3), tuple(range(1, 10)) + (0,): Fraction(-2, 7)}
+    for k in range(50):
+        p = list(range(10))
+        gen.shuffle(p)
+        coefficients[tuple(p)] = Fraction(k, 11)
+    result = OracleResult(
+        mean=np.array([[Fraction(1, 1024)]], dtype=object),
+        coefficients=coefficients,
+        scenario=Scenario(factors=(2,), power=10),
+        q=((Fraction(0), Fraction(0)),),
+    )
+    payload = oracle_result_to_json(result)
+    assert "(1,2,3,4,5,6,7,8,9,10)" in payload["coefficients"]
+    back = oracle_result_from_json(json.loads(json.dumps(payload)))
+    assert back.coefficients == coefficients
+    assert back.scenario == result.scenario
+
+
 def test_matrix_json_round_trips():
     mat = np.array([[1 + 2j, 0], [0.5j, -1]])
     assert np.array_equal(complex_matrix_from_json(complex_matrix_to_json(mat)), mat)
@@ -160,6 +203,14 @@ def test_verify_command(tmp_path, capsys):
     payload = load_json(out)
     assert {r["case"] for r in payload["reports"]} == {"n2m2.exact", "monotone"}
     assert all(r["status"] == "PASS" for r in payload["reports"])
+
+
+def test_verify_json_says_which_cases_are_gated(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--case", "mc.n2m2", "--samples", "20000", "--out", str(out)]) == 0
+    (report,) = load_json(out)["reports"]
+    assert report["case"] == "mc.n2m2"
+    assert report["gated"] is True
 
 
 def test_spectrum_command_accepts_symbolic_matrix(tmp_path):

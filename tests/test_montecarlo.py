@@ -1,18 +1,30 @@
 """Monte Carlo estimator: convergence, error bars, bitwise reproducibility."""
 
+from itertools import permutations
+from math import comb
+
 import numpy as np
 import pytest
 
 from rhomean.fixtures import get_fixture
-from rhomean.measures import BlochBallMeasure, HaarDirichletMeasure, ProductMeasure
+from rhomean.measures import (
+    BlochBallMeasure,
+    HaarDirichletMeasure,
+    ProductMeasure,
+    RandomStream,
+    sample_density_batch,
+)
 from rhomean.montecarlo import (
     chunk_size_for,
     convergence_report,
     estimate_mean,
+    monomial_table,
     scenario_for,
 )
 from rhomean.oracle import composite_haar_mean, haar_mean
-from rhomean.linalg import Scenario
+from rhomean.linalg import Scenario, permutation_operator, tensor_power
+
+PAIR_22 = ProductMeasure(factors=(HaarDirichletMeasure(n=2), HaarDirichletMeasure(n=2)))
 
 
 def test_single_power_mean_is_fully_mixed():
@@ -98,11 +110,73 @@ def test_worker_count_does_not_change_result():
     assert np.array_equal(a.stderr_real, b.stderr_real)
 
 
-def test_product_measure_mean_factorizes():
-    spec = ProductMeasure(
-        factors=(HaarDirichletMeasure(n=2), HaarDirichletMeasure(n=2))
+@pytest.mark.parametrize("spec", [BlochBallMeasure(u=-2.0), PAIR_22], ids=["bloch-m4", "2x2-m2"])
+def test_worker_count_does_not_change_monomial_reduction(spec):
+    m = 4 if isinstance(spec, BlochBallMeasure) else 2
+    a = estimate_mean(spec, m, 20_000, seed=14, workers=1)
+    b = estimate_mean(spec, m, 20_000, seed=14, workers=2)
+    for field in ("mean", "stderr", "stderr_real", "stderr_imag"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@pytest.mark.parametrize(
+    "dim, m, expected", [(2, 1, 4), (2, 4, 35), (3, 4, 495), (2, 6, 84), (6, 2, 666)]
+)
+def test_monomial_table_counts_distinct_entries(dim, m, expected):
+    pairs, index = monomial_table(dim, m)
+    assert pairs.shape == (expected, m) == (comb(dim * dim + m - 1, m), m)
+    assert index.shape == (dim ** (2 * m),)
+    assert np.all(np.diff(pairs, axis=1) >= 0)
+    # every monomial is some entry of the power, and entry (I, J) multiplies
+    # rho[i_k, j_k] over the slots k
+    assert set(index.tolist()) == set(range(expected))
+    rho = np.arange(1, dim * dim + 1, dtype=float).reshape(dim, dim) / (dim * dim)
+    products = np.prod(rho.reshape(-1)[pairs], axis=1)
+    assert np.allclose(products[index].reshape(dim**m, dim**m), tensor_power(rho, m))
+
+
+def _dense_reference(spec, m, n_samples, seed):
+    """Mean and stderrs of rho^(x m) from the estimator's own chunk draws."""
+    size = chunk_size_for(scenario_for(spec, m).dim)
+    powers = []
+    for i, start in enumerate(range(0, n_samples, size)):
+        count = min(size, n_samples - start)
+        rho = sample_density_batch(spec, count, RandomStream(seed, i).generator())
+        powers.extend(tensor_power(r, m) for r in rho)
+    powers = np.array(powers)
+    scale = np.sqrt(n_samples)
+    return (
+        powers.mean(axis=0),
+        powers.real.std(axis=0, ddof=1) / scale,
+        powers.imag.std(axis=0, ddof=1) / scale,
     )
-    est = estimate_mean(spec, 2, 100_000, seed=8)
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [(BlochBallMeasure(u=-2.0), 3), (HaarDirichletMeasure(n=3), 2), (PAIR_22, 2)],
+    ids=["bloch-m3", "zhsl-n3m2", "2x2-m2"],
+)
+def test_monomial_reduction_matches_dense_tensor_power(spec, m):
+    n_samples = 10_000  # two chunks, the second one partial
+    assert chunk_size_for(scenario_for(spec, m).dim) < n_samples
+    est = estimate_mean(spec, m, n_samples, seed=15)
+    mean, se_re, se_im = _dense_reference(spec, m, n_samples, seed=15)
+    assert np.abs(est.mean - mean).max() <= 1e-12
+    assert np.abs(est.stderr_real - se_re).max() <= 1e-12
+    assert np.abs(est.stderr_imag - se_im).max() <= 1e-12
+
+
+def test_estimate_is_exactly_slot_permutation_invariant():
+    est = estimate_mean(HaarDirichletMeasure(n=2), 4, 5_000, seed=16)
+    for sigma in permutations(range(4)):
+        p = permutation_operator(sigma, 2, 4)
+        for mat in (est.mean, est.stderr_real, est.stderr_imag):
+            assert np.array_equal(p @ mat @ p.T, mat), sigma
+
+
+def test_product_measure_mean_factorizes():
+    est = estimate_mean(PAIR_22, 2, 100_000, seed=8)
     oracle = composite_haar_mean(Scenario(factors=(2, 2), power=2))
     rep = convergence_report(est, oracle.mean_float())
     assert rep.max_z <= 5

@@ -51,7 +51,8 @@ def test_run_all_quick_budget():
 def test_report_json_shape():
     rep = Report(case="x", status="PASS", gated=True, max_z=1.0, notes="n")
     payload = rep.to_json()
-    assert set(payload) == {"case", "status", "max_z", "max_abs_delta", "notes"}
+    assert set(payload) == {"case", "status", "gated", "max_z", "max_abs_delta", "notes"}
+    assert payload["gated"] is True
 
 
 def test_budget_defaults():
