@@ -5,9 +5,10 @@ simplex) has a mean tensor power E[rho^(x m)] that commutes with every
 W^(x m).  That pins it inside the span of the tensor-slot permutation
 operators, where it acts as one scalar on each SU(N) x S_m isotypic
 component.  The scalars follow from the eigenvalue power-sum moments through
-the S_m character table, and the permutation coefficients solve the rational
-character system they define.  This script walks through the exact means for
-several dimensions and powers.
+the S_m character table, and the class coefficients (one per cycle type)
+solve the rational character system they define.  Spectra are read from that
+system directly; the dense matrix is built only when it is printed.  This
+script walks through the exact means for several dimensions and powers.
 """
 
 from fractions import Fraction
@@ -30,6 +31,8 @@ def show_matrix(label, mean):
 # ---------------------------------------------------------------------------
 result = haar_mean(2, 2, 0)
 show_matrix("E[rho x rho] for 2x2 states (uniform simplex):", result.mean)
+print("class coefficients:",
+      {k: str(v) for k, v in result.class_coefficients.items()})
 print("permutation coefficients:",
       {k: str(v) for k, v in sorted(result.coefficients.items())})
 print("spectrum:", [(str(v), k) for v, k in result.spectrum()],
@@ -38,10 +41,11 @@ print("spectrum:", [(str(v), k) for v, k in result.spectrum()],
 # ---------------------------------------------------------------------------
 # higher powers: eigenvalue/multiplicity tables stay exact
 # ---------------------------------------------------------------------------
-print("\ntwo-level spectra for m = 2..6:")
+print("\ntwo-level spectra for m = 2..6, with the class coefficients behind them:")
 for m in range(2, 7):
-    spec = haar_mean(2, m, 0).spectrum()
-    print(f"  m={m}: " + ", ".join(f"{v} (x{k})" for v, k in spec))
+    result = haar_mean(2, m, 0)
+    print(f"  m={m}: " + ", ".join(f"{v} (x{k})" for v, k in result.spectrum()))
+    print("        " + ", ".join(f"{ct}: {a}" for ct, a in result.class_coefficients.items()))
 
 # ---------------------------------------------------------------------------
 # three- and five-level states

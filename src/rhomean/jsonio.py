@@ -22,6 +22,7 @@ from .measures import MeasureSpec, measure_from_json
 from .montecarlo import MeanEstimate
 from .oracle import OracleResult
 from .spectral import SymbolicMatrix, substitute_v
+from .symmetry import class_representative, cycle_type, partitions
 
 
 def complex_matrix_to_json(mat: np.ndarray) -> dict:
@@ -141,15 +142,21 @@ def cycles_to_perm(text: str, m: int) -> tuple[int, ...]:
 
 
 def oracle_result_to_json(result: OracleResult) -> dict:
+    """Oracle artifact; ``coefficients`` holds one entry per class of S_m.
+
+    Each class is keyed by its canonical representative in cycle notation
+    (consecutive slots, longest cycle first), e.g. "()", "(12)", "(123)(45)".
+    """
     out = {
         "factors": list(result.scenario.factors),
         "m": result.scenario.power,
         "q": [[str(x) for x in qs] for qs in result.q],
         "matrix": rational_matrix_to_json(result.mean),
     }
-    if result.coefficients is not None:
+    if result.class_coefficients is not None:
         out["coefficients"] = {
-            perm_to_cycles(sigma): str(c) for sigma, c in sorted(result.coefficients.items())
+            perm_to_cycles(class_representative(ct)): str(c)
+            for ct, c in sorted(result.class_coefficients.items())
         }
     if result.factor_spectra is not None:
         out["factor_spectra"] = [
@@ -158,25 +165,42 @@ def oracle_result_to_json(result: OracleResult) -> dict:
     return out
 
 
+def _class_coefficients_from_json(coefficients: dict, m: int) -> dict[tuple[int, ...], Fraction]:
+    """One coefficient per cycle type, read from per-class or per-sigma keys.
+
+    Older artifacts list every sigma in S_m; they collapse by cycle type, and
+    a class whose permutations carry different values is rejected.
+    """
+    out: dict[tuple[int, ...], Fraction] = {}
+    for text, value in coefficients.items():
+        ct = cycle_type(cycles_to_perm(text, m))
+        c = Fraction(value)
+        if out.setdefault(ct, c) != c:
+            raise ValueError(f"class {ct} carries two coefficients, {out[ct]} and {c}")
+    types = sorted(partitions(m))
+    missing = [ct for ct in types if ct not in out]
+    if missing:
+        raise ValueError(f"no coefficient for the classes {missing}")
+    return {ct: out[ct] for ct in types}
+
+
 def oracle_result_from_json(obj: dict) -> OracleResult:
     factors = tuple(obj["factors"])
     m = obj["m"]
     coeffs = None
     if "coefficients" in obj:
-        coeffs = {
-            cycles_to_perm(k, m): Fraction(v) for k, v in obj["coefficients"].items()
-        }
+        coeffs = _class_coefficients_from_json(obj["coefficients"], m)
     factor_spectra = None
     if "factor_spectra" in obj:
         factor_spectra = tuple(
             tuple((Fraction(v), mult) for v, mult in spec) for spec in obj["factor_spectra"]
         )
     return OracleResult(
-        mean=rational_matrix_from_json(obj["matrix"]),
-        coefficients=coeffs,
         scenario=Scenario(factors=factors, power=m),
         q=tuple(tuple(Fraction(x) for x in qs) for qs in obj["q"]),
+        class_coefficients=coeffs,
         factor_spectra=factor_spectra,
+        matrix=rational_matrix_from_json(obj["matrix"]),
     )
 
 

@@ -207,11 +207,17 @@ class ConvergenceReport:
         return self.zero_pattern_matches == self.zero_pattern_total
 
 
-def _z_scores(delta_part: np.ndarray, stderr_part: np.ndarray) -> np.ndarray:
+def _z_scores(delta_part: np.ndarray, stderr_part: np.ndarray, floor: float) -> np.ndarray:
+    """|delta| / stderr; inf for a nonzero delta with zero stderr.
+
+    A part whose delta and stderr are both at or below ``floor`` is rounding
+    noise, e.g. the imaginary part of an exactly real entry, and scores 0.
+    """
     z = np.zeros_like(delta_part)
     hit = stderr_part > 0
     z[hit] = np.abs(delta_part[hit]) / stderr_part[hit]
     z[~hit & (np.abs(delta_part) > 0)] = np.inf
+    z[(np.abs(delta_part) <= floor) & (stderr_part <= floor)] = 0.0
     return z
 
 
@@ -220,7 +226,8 @@ def convergence_report(est: MeanEstimate, reference: np.ndarray) -> ConvergenceR
 
     An estimate entry counts as "zero" when its magnitude is at most 5x its
     standard error; the pattern comparison scores those calls against exact
-    zeros of the reference.
+    zeros of the reference.  Real and imaginary parts whose delta and stderr
+    are both within a rounding floor of 64 eps max|mean| score z = 0.
     """
     ref = np.asarray(reference)
     if ref.dtype == object:
@@ -229,8 +236,10 @@ def convergence_report(est: MeanEstimate, reference: np.ndarray) -> ConvergenceR
     if ref.shape != est.mean.shape:
         raise ValueError("reference shape differs from estimate")
     delta = est.mean - ref
+    floor = 64 * np.finfo(float).eps * float(np.abs(est.mean).max())
     z = np.maximum(
-        _z_scores(delta.real, est.stderr_real), _z_scores(delta.imag, est.stderr_imag)
+        _z_scores(delta.real, est.stderr_real, floor),
+        _z_scores(delta.imag, est.stderr_imag, floor),
     )
     est_zero = np.abs(est.mean) <= 5 * est.stderr
     ref_zero = ref == 0

@@ -14,15 +14,20 @@ The mean acts there as the scalar
 so the class coefficients solve the character system
 sum_K a_K |K| chi^lam(K) / f^lam = c_lam, one row per lam with at most N
 rows, whose right-hand side reduces to simplex moments of the power sums.
-Everything is computed in exact rational arithmetic; eigenvalues and
-multiplicities come from the irreducible-component decomposition of
-(C^N)^(x m), not from floating-point diagonalization.
+The p(m) class coefficients are the stored form of a result: the exact
+spectrum reads the same rows, so it needs no enumeration of S_m and no
+matrix, and the dense matrix sum_K a_K W_K is built from integer class
+counts only when it is first read.  Everything is computed in exact
+rational arithmetic; eigenvalues and multiplicities come from the
+irreducible-component decomposition of (C^N)^(x m), not from
+floating-point diagonalization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import factorial
 
@@ -135,19 +140,48 @@ def solve_rational_system(
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact mean of rho^(x m): rational matrix plus permutation coefficients.
+    """Exact mean of rho^(x m), stored as its S_m class coefficients.
 
-    ``coefficients`` maps each sigma in S_m to its coefficient c_sigma in
-    mean = sum_sigma c_sigma V_sigma (constant on conjugacy classes).  For
-    composite scenarios built from independent factors the permutation-span
-    picture applies per factor, so ``coefficients`` is None there.
+    ``class_coefficients`` maps each cycle type K, in sorted(partitions(m))
+    order, to a_K in mean = sum_K a_K W_K, where W_K is the sum of the slot
+    permutation operators V_sigma over the class.  ``spectrum()`` reads them
+    through the character system.  ``mean`` (the dense Fraction matrix) is
+    built on first read and cached; ``coefficients`` expands the classes to
+    one entry per sigma in S_m, also on first read.
+
+    Composite scenarios built from independent factors have no class
+    coefficients; they carry the factor spectra and pass their matrix as
+    ``matrix``, as do results read back from an artifact.
     """
 
-    mean: np.ndarray  # object array of Fraction
-    coefficients: dict[tuple[int, ...], Fraction] | None
     scenario: Scenario
     q: tuple[tuple[Fraction, ...], ...]  # per factor
+    class_coefficients: dict[tuple[int, ...], Fraction] | None = None
     factor_spectra: tuple[tuple[tuple[Fraction, int], ...], ...] | None = None
+    matrix: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, matrix):
+        if matrix is not None:
+            self.__dict__["mean"] = matrix  # fills the cached property
+        elif self.class_coefficients is None:
+            raise ValueError("a result without class coefficients needs its matrix")
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """Dense object array of Fraction, built from the class coefficients."""
+        (n,) = self.scenario.factors
+        return dense_mean(n, self.scenario.power, self.class_coefficients)
+
+    @cached_property
+    def coefficients(self) -> dict[tuple[int, ...], Fraction] | None:
+        """c_sigma for every sigma in S_m (constant on classes); None if composite."""
+        if self.class_coefficients is None:
+            return None
+        return {
+            sigma: self.class_coefficients[ct]
+            for ct, elems in conjugacy_classes(self.scenario.power).items()
+            for sigma in elems
+        }
 
     def spectrum(self) -> list[tuple[Fraction, int]]:
         return exact_spectrum(self)
@@ -157,6 +191,84 @@ class OracleResult:
 
     def trace(self) -> Fraction:
         return sum(self.mean[i, i] for i in range(self.mean.shape[0]))
+
+
+#: index entries per batch of permutations scattered by the dense build
+_BATCH_ENTRIES = 1 << 20
+
+
+def _fold_counts(
+    labels: np.ndarray, table: np.ndarray, count: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold one more count per entry into the entry labels.
+
+    On input ``table[labels[i]]`` is entry i's vector of counts so far; on
+    output it ends with ``count[i]``.  The folded key label * base + count,
+    base = max(count) + 1, is relabelled to 0..L-1 at once, so it stays
+    below len(table) * base however many counts are folded.
+    """
+    base = int(count.max()) + 1
+    distinct, labels = np.unique(labels * base + count, return_inverse=True)
+    return labels, np.column_stack([table[distinct // base], distinct % base])
+
+
+def _content_blocks(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (i, j) whose digit strings are rearrangements of each other.
+
+    Every V_sigma lies on these pairs.  Basis indices with the same digit
+    content form a block; index i has rank[i] within its block of size g[i].
+    Pair (i, j) is numbered col[j] + rank[i] * g[j].  Returns
+    (rank, g, col, flat), with flat[t] = i * n^m + j for the pair numbered t.
+    """
+    d = n**m
+    digits = np.indices((n,) * m).reshape(m, d)
+    content = (n ** np.arange(m)) @ np.sort(digits, axis=0)
+    order = np.argsort(content, kind="stable")
+    _, start, size = np.unique(content[order], return_index=True, return_counts=True)
+    block = np.repeat(np.arange(len(size)), size)  # block of order[p]
+    block_off = np.cumsum(size**2) - size**2
+    rank, g, col = np.empty(d, np.int64), np.empty(d, np.int64), np.empty(d, np.int64)
+    rank[order] = np.arange(d) - start[block]
+    g[order] = size[block]
+    col[order] = block_off[block] + rank[order]
+    pair_block = np.repeat(np.arange(len(size)), size**2)
+    a, b = np.divmod(np.arange(len(pair_block)) - block_off[pair_block], size[pair_block])
+    first = start[pair_block]
+    return rank, g, col, order[first + a] * d + order[first + b]
+
+
+def dense_mean(
+    n: int, m: int, class_coefficients: dict[tuple[int, ...], Fraction]
+) -> np.ndarray:
+    """sum_K a_K W_K on (C^n)^(x m) as a dense object array of Fraction.
+
+    Entry (i, j) of W_K counts the sigma in K whose V_sigma maps column j to
+    row i, so the entry of the mean is sum_K count_K a_K.  The counts of the
+    classes with a_K != 0 are kept on the pairs of digit-rearranged indices
+    (every other entry is 0), folded into one integer label per pair, and
+    one Fraction is computed per distinct label.
+    """
+    d = n**m
+    classes = conjugacy_classes(m)
+    used = [ct for ct in sorted(class_coefficients) if class_coefficients[ct] != 0]
+    rank, g, col, flat = _content_blocks(n, m)
+    step = max(1, _BATCH_ENTRIES // d)
+    labels = np.zeros(len(flat), dtype=np.int64)
+    table = np.zeros((1, 0), dtype=np.int64)
+    for ct in used:
+        elems = np.array(classes[ct])
+        count = np.zeros(len(flat), dtype=np.int64)
+        for start in range(0, len(elems), step):
+            # V_sigma is a permutation matrix: one entry per column j
+            pair = col + rank[permutation_rows(elems[start : start + step], n)] * g
+            count += np.bincount(pair.ravel(), minlength=len(flat))
+        labels, table = _fold_counts(labels, table, count)
+    coeffs = [class_coefficients[ct] for ct in used]
+    values = np.empty(len(table), dtype=object)
+    values[:] = [sum((int(k) * a for k, a in zip(row, coeffs)), Fraction(0)) for row in table]
+    mean = np.full(d * d, Fraction(0), dtype=object)
+    mean[flat] = values[labels]
+    return mean.reshape(d, d)
 
 
 def _irreps(n: int, m: int) -> list[tuple[int, int, list[Fraction]]]:
@@ -182,7 +294,9 @@ def haar_mean(
     """Exact E[rho^(x m)] for N x N states with Haar eigenvectors, Dirichlet spectrum.
 
     ``q`` is the common simplex exponent (q = 0 is the uniform simplex) or a
-    length-N sequence of exponents; all must be < 1.
+    length-N sequence of exponents; all must be < 1.  Only the class
+    coefficients are computed here; the dense matrix is built on first read
+    of ``.mean``.  The dimension cap applies all the same.
     """
     if m < 1:
         raise ValueError("power m must be >= 1")
@@ -200,25 +314,12 @@ def haar_mean(
         for f, wdim, row in irreps
     ]
     # Gauss-Jordan pins the free classes of a rank-deficient system (n < m)
-    # to zero, so the dense build below skips them.
+    # to zero, so the dense build skips them.
     class_coeff = dict(zip(types, solve_rational_system([row for _, _, row in irreps], rhs)))
-
-    mean = np.full((d, d), Fraction(0), dtype=object)
-    flat = mean.reshape(-1)
-    cols = np.arange(d)
-    coefficients: dict[tuple[int, ...], Fraction] = {}
-    for ct, elems in conjugacy_classes(m).items():
-        c = class_coeff[ct]
-        for sigma in elems:
-            coefficients[sigma] = c
-            if c != 0:
-                # V_sigma is a permutation matrix: the indices are distinct
-                flat[permutation_rows(sigma, n) * d + cols] += c
     return OracleResult(
-        mean=mean,
-        coefficients=coefficients,
         scenario=Scenario(factors=(n,), power=m),
         q=(qs,),
+        class_coefficients=class_coeff,
     )
 
 
@@ -227,15 +328,15 @@ def exact_spectrum(result: OracleResult) -> list[tuple[Fraction, int]]:
 
     Single factor: the mean is central in the image of the group algebra of
     S_m, so it acts as a scalar on each irreducible component lam of
-    (C^N)^(x m); the scalar is sum_K a_K |K| chi^lam(K) / f^lam and the
-    component has dimension f^lam * (Weyl dimension).  Composite scenarios
+    (C^N)^(x m); the scalar is sum_K a_K |K| chi^lam(K) / f^lam, read from
+    the class coefficients alone, and the component has dimension
+    f^lam * (Weyl dimension).  Composite scenarios
     multiply the factor spectra.
     """
-    if result.coefficients is not None:
+    if result.class_coefficients is not None:
         (n,) = result.scenario.factors
         m = result.scenario.power
-        classes = conjugacy_classes(m)
-        coeffs = [result.coefficients[classes[ct][0]] for ct in sorted(classes)]
+        coeffs = [result.class_coefficients[ct] for ct in sorted(partitions(m))]
         spec: dict[Fraction, int] = {}
         for f, wdim, row in _irreps(n, m):
             val = sum(r * a for r, a in zip(row, coeffs))
@@ -280,9 +381,8 @@ def composite_haar_mean(
     perm = tuple(i * m + s for s in range(m) for i in range(k))
     mean = reorder_subsystems(mean, dims, perm)
     return OracleResult(
-        mean=mean,
-        coefficients=None,
         scenario=scenario,
         q=tuple(fr.q[0] for fr in factor_results),
         factor_spectra=tuple(tuple(fr.spectrum()) for fr in factor_results),
+        matrix=mean,
     )

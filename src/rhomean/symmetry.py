@@ -61,11 +61,25 @@ def identity(m: int) -> tuple[int, ...]:
     return tuple(range(m))
 
 
+def class_representative(ct: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation of cycle type ct whose cycles fill consecutive slots.
+
+    Longest cycle first, e.g. (3, 2) gives (123)(45) in 1-based cycle notation.
+    """
+    perm: list[int] = []
+    for length in ct:
+        start = len(perm)
+        perm += [start + (k + 1) % length for k in range(length)]
+    return tuple(perm)
+
+
 @lru_cache(maxsize=None)
 def conjugacy_classes(m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Map cycle type -> all permutations of S_m with that type.
 
-    Full enumeration; intended for the small m (<= 6 or so) that arise here.
+    Full enumeration of all m! permutations, cached per m (m = 9 takes about
+    a second).  The exact spectrum does not need it; the dense matrix and the
+    per-sigma coefficients of the oracle do.
     """
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for p in permutations(range(m)):

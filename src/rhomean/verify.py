@@ -10,8 +10,10 @@ the symmetric-sector eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +42,7 @@ class Report:
     max_z: float | None = None
     max_abs_delta: float | None = None
     notes: str = ""
+    seconds: float | None = None  # wall time, recorded by run_case
 
     @property
     def ok(self) -> bool:
@@ -53,6 +56,7 @@ class Report:
             "max_z": self.max_z,
             "max_abs_delta": self.max_abs_delta,
             "notes": self.notes,
+            "seconds": self.seconds,
         }
 
 
@@ -625,40 +629,38 @@ def case_report_n4m3(budget: Budget) -> Report:
 # ---------------------------------------------------------------------------
 
 CASES = {
-    "n2m2.exact": (case_n2m2_exact, True),
-    "n2.spectra": (case_n2_spectra, True),
-    "n5m2.diag": (case_n5m2_diag, True),
-    "n3m2.limit": (case_n3m2_limit, True),
-    "n3m3.limit": (case_n3m3_limit, True),
-    "n6m2.limit": (case_n6m2_limit, True),
-    "n6m2.full": (case_n6m2_full, True),
-    "n12.232.vs.322": (case_n12_232_vs_322, True),
-    "dirichlet.n2m2": (lambda b: case_dirichlet(b, "n2m2"), True),
-    "dirichlet.n2m3": (lambda b: case_dirichlet(b, "n2m3"), True),
-    "dirichlet.n3m2": (lambda b: case_dirichlet(b, "n3m2"), True),
-    "dirichlet.n4m2": (lambda b: case_dirichlet(b, "n4m2"), True),
-    "ks.tables": (case_ks_tables, True),
-    "monotone": (case_monotone, True),
-    "marginal": (case_marginal, True),
-    "vectors.n3m2": (case_vectors_n3m2, True),
-    "vectors.n2m3": (case_vectors_n2m3, True),
-    "vectors.n3m3": (case_vectors_n3m3, True),
-    "poly.n3m3": (case_poly_n3m3, True),
-    "mc.m1": (case_mc_m1, True),
-    "mc.n2m2": (case_mc_n2m2, True),
-    "mc.n3m2": (case_mc_n3m2, True),
-    "mc.determinism": (case_mc_determinism, True),
-    "eigenspaces.bloch": (case_eigenspaces_bloch, True),
-    "report.n3m2.pi": (case_report_n3m2_pi, False),
-    "report.n4m2.split": (case_report_n4m2_split, False),
-    "report.n12.limit": (case_report_n12_limit, False),
-    "report.n3m4.diag": (case_report_n3m4_diag, False),
-    "report.n4m3": (case_report_n4m3, False),
+    "n2m2.exact": case_n2m2_exact,
+    "n2.spectra": case_n2_spectra,
+    "n5m2.diag": case_n5m2_diag,
+    "n3m2.limit": case_n3m2_limit,
+    "n3m3.limit": case_n3m3_limit,
+    "n6m2.limit": case_n6m2_limit,
+    "n6m2.full": case_n6m2_full,
+    "n12.232.vs.322": case_n12_232_vs_322,
+    "dirichlet.n2m2": partial(case_dirichlet, which="n2m2"),
+    "dirichlet.n2m3": partial(case_dirichlet, which="n2m3"),
+    "dirichlet.n3m2": partial(case_dirichlet, which="n3m2"),
+    "dirichlet.n4m2": partial(case_dirichlet, which="n4m2"),
+    "ks.tables": case_ks_tables,
+    "monotone": case_monotone,
+    "marginal": case_marginal,
+    "vectors.n3m2": case_vectors_n3m2,
+    "vectors.n2m3": case_vectors_n2m3,
+    "vectors.n3m3": case_vectors_n3m3,
+    "poly.n3m3": case_poly_n3m3,
+    "mc.m1": case_mc_m1,
+    "mc.n2m2": case_mc_n2m2,
+    "mc.n3m2": case_mc_n3m2,
+    "mc.determinism": case_mc_determinism,
+    "eigenspaces.bloch": case_eigenspaces_bloch,
+    "report.n3m2.pi": case_report_n3m2_pi,
+    "report.n4m2.split": case_report_n4m2_split,
+    "report.n12.limit": case_report_n12_limit,
+    "report.n3m4.diag": case_report_n3m4_diag,
+    "report.n4m3": case_report_n4m3,
 }
 
-#: cases that sample; verify --all trims their budgets unless overridden
-MC_CASES = ("mc.m1", "mc.n2m2", "mc.n3m2", "mc.determinism", "eigenspaces.bloch", "report.n3m2.pi")
-
+#: the sampling cases' budgets under verify --all, unless overridden
 _QUICK_SAMPLES = {
     "mc.m1": 50_000,
     "mc.n2m2": 200_000,
@@ -672,8 +674,9 @@ _QUICK_SAMPLES = {
 def run_case(case_id: str, budget: Budget | None = None) -> Report:
     if case_id not in CASES:
         raise ValueError(f"unknown case {case_id!r}; known: {sorted(CASES)}")
-    fn, _gated = CASES[case_id]
-    return fn(budget or Budget())
+    t0 = time.perf_counter()
+    report = CASES[case_id](budget or Budget())
+    return replace(report, seconds=time.perf_counter() - t0)
 
 
 def run_all(budget: Budget | None = None, quick: bool = True) -> list[Report]:

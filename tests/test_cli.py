@@ -53,29 +53,58 @@ def test_cycle_notation_beyond_nine_slots():
 
 
 def test_oracle_artifact_round_trips_at_ten_slots():
-    import random
     from fractions import Fraction
 
     from rhomean.linalg import Scenario
     from rhomean.oracle import OracleResult
+    from rhomean.symmetry import partitions
 
-    gen = random.Random(1)
-    coefficients = {tuple(range(10)): Fraction(1, 3), tuple(range(1, 10)) + (0,): Fraction(-2, 7)}
-    for k in range(50):
-        p = list(range(10))
-        gen.shuffle(p)
-        coefficients[tuple(p)] = Fraction(k, 11)
+    types = sorted(partitions(10))
+    assert len(types) == 42
+    class_coefficients = {ct: Fraction(k - 20, 11 + k) for k, ct in enumerate(types)}
     result = OracleResult(
-        mean=np.array([[Fraction(1, 1024)]], dtype=object),
-        coefficients=coefficients,
         scenario=Scenario(factors=(2,), power=10),
         q=((Fraction(0), Fraction(0)),),
+        class_coefficients=class_coefficients,
+        # a stand-in: the dense build at D = 1024 would enumerate all of S_10
+        matrix=np.array([[Fraction(1, 1024)]], dtype=object),
     )
     payload = oracle_result_to_json(result)
+    assert len(payload["coefficients"]) == 42
     assert "(1,2,3,4,5,6,7,8,9,10)" in payload["coefficients"]
+    assert "(1,2,3,4,5,6)(7,8,9)" in payload["coefficients"]
     back = oracle_result_from_json(json.loads(json.dumps(payload)))
-    assert back.coefficients == coefficients
+    assert back.class_coefficients == class_coefficients
     assert back.scenario == result.scenario
+
+
+def test_oracle_artifact_keys_one_coefficient_per_class():
+    result = haar_mean(2, 5, 0)
+    payload = oracle_result_to_json(result)
+    assert set(payload["coefficients"]) == {
+        "()", "(12)", "(12)(34)", "(123)", "(123)(45)", "(1234)", "(12345)",
+    }
+    back = oracle_result_from_json(payload)
+    assert back.class_coefficients == result.class_coefficients
+    assert back.spectrum() == result.spectrum()
+
+
+def test_oracle_artifact_reads_every_sigma_form():
+    result = haar_mean(3, 3, 0)
+    payload = oracle_result_to_json(result)
+    # the earlier schema listed every sigma in S_m
+    payload["coefficients"] = {perm_to_cycles(s): str(c) for s, c in result.coefficients.items()}
+    assert len(payload["coefficients"]) == 6
+    back = oracle_result_from_json(json.loads(json.dumps(payload)))
+    assert back.class_coefficients == result.class_coefficients
+    assert back.coefficients == result.coefficients
+    # two transpositions with different values are no class function
+    payload["coefficients"]["(13)"] = "1/7"
+    with pytest.raises(ValueError, match="two coefficients"):
+        oracle_result_from_json(payload)
+    del payload["coefficients"]["(12)"], payload["coefficients"]["(13)"], payload["coefficients"]["(23)"]
+    with pytest.raises(ValueError, match="no coefficient"):
+        oracle_result_from_json(payload)
 
 
 def test_matrix_json_round_trips():

@@ -1,5 +1,6 @@
 """Monte Carlo estimator: convergence, error bars, bitwise reproducibility."""
 
+from dataclasses import replace
 from itertools import permutations
 from math import comb
 
@@ -190,6 +191,27 @@ def test_convergence_report_against_itself_and_shapes():
     assert rep.max_abs_delta == 0
     with pytest.raises(ValueError):
         convergence_report(est, np.eye(8) / 8)
+
+
+def test_rounding_noise_parts_score_zero():
+    # rho01*rho10 is exactly real; complex-multiply rounding leaves an
+    # imaginary part and a stderr_imag of ~1e-20 on it
+    est = estimate_mean(HaarDirichletMeasure(n=2), 2, 100_000, seed=1, workers=1)
+    ref = haar_mean(2, 2, 0).mean_float()
+    noise = (est.stderr_imag > 0) & (est.stderr_imag < 1e-15)
+    assert noise[2, 1] and est.mean[2, 1].imag != 0
+    delta = est.mean - ref
+    genuine = max(
+        (np.abs(part) / se)[se >= 1e-15].max()
+        for part, se in ((delta.real, est.stderr_real), (delta.imag, est.stderr_imag))
+    )
+    rep = convergence_report(est, ref)
+    assert rep.max_z == genuine
+    assert rep.max_z < abs(est.mean[2, 1].imag) / est.stderr_imag[2, 1]
+    # an error well above the rounding floor on a noise-level part still counts
+    shifted = est.mean.copy()
+    shifted[2, 1] += 1e-12j
+    assert convergence_report(replace(est, mean=shifted), ref).max_z > 5
 
 
 def test_zero_pattern_against_oracle():

@@ -12,17 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rhomean.oracle
 from rhomean.fixtures import get_fixture
 from rhomean.linalg import Scenario, permutation_operator
 from rhomean.measures import RandomStream, sample_haar_unitary
 from rhomean.oracle import (
+    _fold_counts,
     composite_haar_mean,
     dirichlet_moment,
     haar_mean,
     power_sum_moment,
     solve_rational_system,
 )
-from rhomean.symmetry import cycle_type
+from rhomean.symmetry import cycle_type, partitions
 
 
 def reconstruct(result):
@@ -207,6 +209,46 @@ def test_dependent_permutation_operators_still_solve():
     }
 
 
+@pytest.mark.parametrize("n, m, q", [(2, 5, F(1, 3)), (3, 4, [F(1, 2), F(0), F(-1, 3)])])
+def test_spectrum_needs_neither_matrix_nor_enumeration(monkeypatch, n, m, q):
+    want = haar_mean(n, m, q).spectrum()
+
+    def refuse(m):
+        raise AssertionError("S_m enumerated")
+
+    monkeypatch.setattr(rhomean.oracle, "conjugacy_classes", refuse)
+    result = haar_mean(n, m, q)
+    assert result.spectrum() == want
+    assert "mean" not in result.__dict__
+    assert "coefficients" not in result.__dict__
+    assert sorted(result.class_coefficients) == sorted(partitions(m))
+
+
+def test_mean_is_built_once_on_first_read():
+    result = haar_mean(2, 3, 0)
+    assert "mean" not in result.__dict__
+    first = result.mean
+    assert result.mean is first
+    assert {cycle_type(s): c for s, c in result.coefficients.items()} == result.class_coefficients
+
+
+def test_count_folding_survives_mixed_radix_overflow():
+    # seven counts below 2^10 per entry: a mixed-radix key over all of them
+    # needs 70 bits; the relabelled key stays below size * 2^10 after every fold
+    gen = np.random.default_rng(3)
+    size = 5_000
+    counts = [gen.integers(0, 1 << 10, size) for _ in range(7)]
+    assert np.prod([float(int(c.max()) + 1) for c in counts]) > 2.0**63
+    labels = np.zeros(size, dtype=np.int64)
+    table = np.zeros((1, 0), dtype=np.int64)
+    for c in counts:
+        labels, table = _fold_counts(labels, table, c)
+        assert labels.max() < len(table) <= size
+    stacked = np.column_stack(counts)
+    assert np.array_equal(table[labels], stacked)
+    assert len(table) == len(np.unique(stacked, axis=0))
+
+
 def _partial_trace_last(mean, n):
     d = mean.shape[0] // n
     blocks = mean.reshape(d, n, d, n)
@@ -232,8 +274,14 @@ def _oracle_cases(draw):
 def test_oracle_exact_invariants_property(case):
     n, m, q = case
     result = haar_mean(n, m, q)
+    spec = result.spectrum()
+    assert "mean" not in result.__dict__  # the spectrum needs no matrix
+    # the lazily built matrix is the per-sigma sum of permutation operators
     assert np.all(reconstruct(result) == result.mean)
     assert result.trace() == 1
+    # the spectrum read from the class coefficients is the matrix's spectrum
+    expanded = [float(v) for v, k in spec for _ in range(k)]
+    assert np.allclose(np.linalg.eigvalsh(result.mean_float()), expanded, rtol=0, atol=1e-12)
     # tracing out the last slot of E[rho^(x m)] gives E[rho^(x (m-1))]
     assert np.all(_partial_trace_last(result.mean, n) == haar_mean(n, m - 1, q).mean)
 

@@ -51,8 +51,16 @@ def test_run_all_quick_budget():
 def test_report_json_shape():
     rep = Report(case="x", status="PASS", gated=True, max_z=1.0, notes="n")
     payload = rep.to_json()
-    assert set(payload) == {"case", "status", "gated", "max_z", "max_abs_delta", "notes"}
+    assert set(payload) == {"case", "status", "gated", "max_z", "max_abs_delta", "notes", "seconds"}
     assert payload["gated"] is True
+    assert payload["seconds"] is None
+
+
+def test_run_case_records_wall_seconds():
+    rep = run_case("n2m2.exact")
+    assert rep.gated
+    assert rep.seconds is not None and rep.seconds >= 0
+    assert rep.to_json()["seconds"] == rep.seconds
 
 
 def test_budget_defaults():
