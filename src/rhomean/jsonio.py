@@ -145,7 +145,9 @@ def oracle_result_to_json(result: OracleResult) -> dict:
     """Oracle artifact; ``coefficients`` holds one entry per class of S_m.
 
     Each class is keyed by its canonical representative in cycle notation
-    (consecutive slots, longest cycle first), e.g. "()", "(12)", "(123)(45)".
+    (consecutive slots, longest cycle first), e.g. "()", "(12)", "(123)(45)",
+    and ``"coefficients_form": "class"`` marks this schema.  Readers that
+    expect every sigma in S_m cannot read it.
     """
     out = {
         "factors": list(result.scenario.factors),
@@ -154,6 +156,7 @@ def oracle_result_to_json(result: OracleResult) -> dict:
         "matrix": rational_matrix_to_json(result.mean),
     }
     if result.class_coefficients is not None:
+        out["coefficients_form"] = "class"
         out["coefficients"] = {
             perm_to_cycles(class_representative(ct)): str(c)
             for ct, c in sorted(result.class_coefficients.items())
@@ -189,6 +192,10 @@ def oracle_result_from_json(obj: dict) -> OracleResult:
     m = obj["m"]
     coeffs = None
     if "coefficients" in obj:
+        # artifacts without the marker list every sigma in S_m
+        form = obj.get("coefficients_form", "sigma")
+        if form not in ("class", "sigma"):
+            raise ValueError(f"unknown coefficients_form {form!r}")
         coeffs = _class_coefficients_from_json(obj["coefficients"], m)
     factor_spectra = None
     if "factor_spectra" in obj:

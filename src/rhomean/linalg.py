@@ -113,17 +113,15 @@ def reorder_subsystems(rho: np.ndarray, dims: list[int], perm: tuple[int, ...]) 
     return rho.reshape(dims + dims).transpose(axes).reshape(d, d)
 
 
-def permutation_rows(sigma, n: int) -> np.ndarray:
-    """Row index of the single 1 in each column of V_sigma on (C^n)^(x m).
+def permutation_rows(sigma: tuple[int, ...], n: int) -> np.ndarray:
+    """Row index of the single 1 in each column of V_sigma on (C^n)^(x len(sigma)).
 
     Column digit k (row-major mixed radix) moves to slot sigma[k], whose
-    stride is n^(m-1-sigma[k]).  ``sigma`` is one permutation of length m,
-    giving n^m rows, or a (k, m) stack of them, giving a (k, n^m) array.
+    stride is n^(m-1-sigma[k]).
     """
-    sigma = np.asarray(sigma)
-    m = sigma.shape[-1]
+    m = len(sigma)
     digits = np.indices((n,) * m).reshape(m, n**m)
-    return (n ** (m - 1 - sigma)) @ digits
+    return (n ** (m - 1 - np.asarray(sigma))) @ digits
 
 
 def permutation_operator(sigma: tuple[int, ...], n: int, m: int, cap: int = DIM_CAP) -> np.ndarray:

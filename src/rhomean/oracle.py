@@ -16,11 +16,10 @@ sum_K a_K |K| chi^lam(K) / f^lam = c_lam, one row per lam with at most N
 rows, whose right-hand side reduces to simplex moments of the power sums.
 The p(m) class coefficients are the stored form of a result: the exact
 spectrum reads the same rows, so it needs no enumeration of S_m and no
-matrix, and the dense matrix sum_K a_K W_K is built from integer class
-counts only when it is first read.  Everything is computed in exact
-rational arithmetic; eigenvalues and multiplicities come from the
-irreducible-component decomposition of (C^N)^(x m), not from
-floating-point diagonalization.
+matrix, and the dense matrix sum_K a_K W_K is built only when it is first
+read.  Everything is computed in exact rational arithmetic; eigenvalues and
+multiplicities come from the irreducible-component decomposition of
+(C^N)^(x m), not from floating-point diagonalization.
 """
 
 from __future__ import annotations
@@ -193,82 +192,26 @@ class OracleResult:
         return sum(self.mean[i, i] for i in range(self.mean.shape[0]))
 
 
-#: index entries per batch of permutations scattered by the dense build
-_BATCH_ENTRIES = 1 << 20
-
-
-def _fold_counts(
-    labels: np.ndarray, table: np.ndarray, count: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fold one more count per entry into the entry labels.
-
-    On input ``table[labels[i]]`` is entry i's vector of counts so far; on
-    output it ends with ``count[i]``.  The folded key label * base + count,
-    base = max(count) + 1, is relabelled to 0..L-1 at once, so it stays
-    below len(table) * base however many counts are folded.
-    """
-    base = int(count.max()) + 1
-    distinct, labels = np.unique(labels * base + count, return_inverse=True)
-    return labels, np.column_stack([table[distinct // base], distinct % base])
-
-
-def _content_blocks(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs (i, j) whose digit strings are rearrangements of each other.
-
-    Every V_sigma lies on these pairs.  Basis indices with the same digit
-    content form a block; index i has rank[i] within its block of size g[i].
-    Pair (i, j) is numbered col[j] + rank[i] * g[j].  Returns
-    (rank, g, col, flat), with flat[t] = i * n^m + j for the pair numbered t.
-    """
-    d = n**m
-    digits = np.indices((n,) * m).reshape(m, d)
-    content = (n ** np.arange(m)) @ np.sort(digits, axis=0)
-    order = np.argsort(content, kind="stable")
-    _, start, size = np.unique(content[order], return_index=True, return_counts=True)
-    block = np.repeat(np.arange(len(size)), size)  # block of order[p]
-    block_off = np.cumsum(size**2) - size**2
-    rank, g, col = np.empty(d, np.int64), np.empty(d, np.int64), np.empty(d, np.int64)
-    rank[order] = np.arange(d) - start[block]
-    g[order] = size[block]
-    col[order] = block_off[block] + rank[order]
-    pair_block = np.repeat(np.arange(len(size)), size**2)
-    a, b = np.divmod(np.arange(len(pair_block)) - block_off[pair_block], size[pair_block])
-    first = start[pair_block]
-    return rank, g, col, order[first + a] * d + order[first + b]
-
-
 def dense_mean(
     n: int, m: int, class_coefficients: dict[tuple[int, ...], Fraction]
 ) -> np.ndarray:
     """sum_K a_K W_K on (C^n)^(x m) as a dense object array of Fraction.
 
-    Entry (i, j) of W_K counts the sigma in K whose V_sigma maps column j to
-    row i, so the entry of the mean is sum_K count_K a_K.  The counts of the
-    classes with a_K != 0 are kept on the pairs of digit-rearranged indices
-    (every other entry is 0), folded into one integer label per pair, and
-    one Fraction is computed per distinct label.
+    Each sigma of a class with a_K != 0 adds a_K along the single 1 in each
+    column of V_sigma; the classes pinned to zero by the solve are skipped.
     """
     d = n**m
-    classes = conjugacy_classes(m)
-    used = [ct for ct in sorted(class_coefficients) if class_coefficients[ct] != 0]
-    rank, g, col, flat = _content_blocks(n, m)
-    step = max(1, _BATCH_ENTRIES // d)
-    labels = np.zeros(len(flat), dtype=np.int64)
-    table = np.zeros((1, 0), dtype=np.int64)
-    for ct in used:
-        elems = np.array(classes[ct])
-        count = np.zeros(len(flat), dtype=np.int64)
-        for start in range(0, len(elems), step):
-            # V_sigma is a permutation matrix: one entry per column j
-            pair = col + rank[permutation_rows(elems[start : start + step], n)] * g
-            count += np.bincount(pair.ravel(), minlength=len(flat))
-        labels, table = _fold_counts(labels, table, count)
-    coeffs = [class_coefficients[ct] for ct in used]
-    values = np.empty(len(table), dtype=object)
-    values[:] = [sum((int(k) * a for k, a in zip(row, coeffs)), Fraction(0)) for row in table]
-    mean = np.full(d * d, Fraction(0), dtype=object)
-    mean[flat] = values[labels]
-    return mean.reshape(d, d)
+    mean = np.full((d, d), Fraction(0), dtype=object)
+    flat = mean.reshape(-1)
+    cols = np.arange(d)
+    for ct, elems in conjugacy_classes(m).items():
+        c = class_coefficients[ct]
+        if c == 0:
+            continue
+        for sigma in elems:
+            # V_sigma is a permutation matrix: the indices are distinct
+            flat[permutation_rows(sigma, n) * d + cols] += c
+    return mean
 
 
 def _irreps(n: int, m: int) -> list[tuple[int, int, list[Fraction]]]:

@@ -81,6 +81,7 @@ def test_oracle_artifact_round_trips_at_ten_slots():
 def test_oracle_artifact_keys_one_coefficient_per_class():
     result = haar_mean(2, 5, 0)
     payload = oracle_result_to_json(result)
+    assert payload["coefficients_form"] == "class"
     assert set(payload["coefficients"]) == {
         "()", "(12)", "(12)(34)", "(123)", "(123)(45)", "(1234)", "(12345)",
     }
@@ -92,12 +93,15 @@ def test_oracle_artifact_keys_one_coefficient_per_class():
 def test_oracle_artifact_reads_every_sigma_form():
     result = haar_mean(3, 3, 0)
     payload = oracle_result_to_json(result)
-    # the earlier schema listed every sigma in S_m
+    # the earlier schema listed every sigma in S_m and had no form marker
+    del payload["coefficients_form"]
     payload["coefficients"] = {perm_to_cycles(s): str(c) for s, c in result.coefficients.items()}
     assert len(payload["coefficients"]) == 6
     back = oracle_result_from_json(json.loads(json.dumps(payload)))
     assert back.class_coefficients == result.class_coefficients
     assert back.coefficients == result.coefficients
+    with pytest.raises(ValueError, match="unknown coefficients_form"):
+        oracle_result_from_json({**payload, "coefficients_form": "orbit"})
     # two transpositions with different values are no class function
     payload["coefficients"]["(13)"] = "1/7"
     with pytest.raises(ValueError, match="two coefficients"):

@@ -17,7 +17,6 @@ from rhomean.fixtures import get_fixture
 from rhomean.linalg import Scenario, permutation_operator
 from rhomean.measures import RandomStream, sample_haar_unitary
 from rhomean.oracle import (
-    _fold_counts,
     composite_haar_mean,
     dirichlet_moment,
     haar_mean,
@@ -230,23 +229,6 @@ def test_mean_is_built_once_on_first_read():
     first = result.mean
     assert result.mean is first
     assert {cycle_type(s): c for s, c in result.coefficients.items()} == result.class_coefficients
-
-
-def test_count_folding_survives_mixed_radix_overflow():
-    # seven counts below 2^10 per entry: a mixed-radix key over all of them
-    # needs 70 bits; the relabelled key stays below size * 2^10 after every fold
-    gen = np.random.default_rng(3)
-    size = 5_000
-    counts = [gen.integers(0, 1 << 10, size) for _ in range(7)]
-    assert np.prod([float(int(c.max()) + 1) for c in counts]) > 2.0**63
-    labels = np.zeros(size, dtype=np.int64)
-    table = np.zeros((1, 0), dtype=np.int64)
-    for c in counts:
-        labels, table = _fold_counts(labels, table, c)
-        assert labels.max() < len(table) <= size
-    stacked = np.column_stack(counts)
-    assert np.array_equal(table[labels], stacked)
-    assert len(table) == len(np.unique(stacked, axis=0))
 
 
 def _partial_trace_last(mean, n):
