@@ -192,9 +192,10 @@ def oracle_result_from_json(obj: dict) -> OracleResult:
     m = obj["m"]
     coeffs = None
     if "coefficients" in obj:
-        # artifacts without the marker list every sigma in S_m
-        form = obj.get("coefficients_form", "sigma")
-        if form not in ("class", "sigma"):
+        # artifacts without the marker list every sigma in S_m; both forms
+        # collapse by cycle type
+        form = obj.get("coefficients_form", "class")
+        if form != "class":
             raise ValueError(f"unknown coefficients_form {form!r}")
         coeffs = _class_coefficients_from_json(obj["coefficients"], m)
     factor_spectra = None
