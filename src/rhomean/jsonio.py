@@ -5,6 +5,13 @@ Every matrix artifact uses the row-major schema
 pairs for numeric matrices, ``"p/q"`` strings for exact rational matrices and
 ``{"r": "p/q", "s": "p/q"}`` objects for r + s/pi matrices.  Rationals travel
 as strings so exactness survives the round trip.
+
+Exact matrices take few distinct values (an oracle mean lies in the commutant
+of SU(N)^(x m), e.g. 17 values among the 65536 entries at N=4, m=4), so the
+exact readers and writers work by distinct value: each distinct string is
+parsed and checked once, each distinct value is formatted once, and the
+entries are gathered by an integer index.  Equal entries of a read-back
+matrix therefore share one immutable ``Fraction``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import Scenario
+from .linalg import Scenario, distinct_entries
 from .measures import MeasureSpec, measure_from_json
 from .montecarlo import MeanEstimate
 from .oracle import OracleResult
@@ -34,27 +41,67 @@ def complex_matrix_to_json(mat: np.ndarray) -> dict:
     }
 
 
-def complex_matrix_from_json(obj: dict) -> np.ndarray:
+def _check_entry_count(obj: dict) -> tuple[int, int, list]:
     rows, cols = obj["rows"], obj["cols"]
     entries = obj["entries"]
     if len(entries) != rows * cols:
         raise ValueError("entry count does not match rows * cols")
-    flat = np.array([complex(re, im) for re, im in entries])
+    return rows, cols, entries
+
+
+def _complex_entry(entry) -> complex:
+    try:
+        re, im = entry
+        return complex(re, im)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"complex entry {entry!r} is not an [re, im] pair") from None
+
+
+def complex_matrix_from_json(obj: dict) -> np.ndarray:
+    rows, cols, entries = _check_entry_count(obj)
+    flat = np.array([_complex_entry(e) for e in entries], dtype=complex)
     return flat.reshape(rows, cols)
 
 
 def rational_matrix_to_json(mat: np.ndarray) -> dict:
+    # equal values give equal strings, so formatting each distinct value once
+    # writes the same bytes as formatting every entry
+    values, index = distinct_entries(mat.ravel().tolist())
+    texts = np.array([str(Fraction(x)) for x in values], dtype=object)
     return {
         "rows": mat.shape[0],
         "cols": mat.shape[1],
-        "entries": [str(Fraction(x)) for x in mat.ravel()],
+        "entries": texts[index].tolist(),
     }
 
 
+def _rational(text) -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"rational entry {text!r} is not a 'p/q' string")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"rational entry {text!r} is not a rational p/q with q != 0") from None
+
+
+def _distinct_rationals(texts: list) -> tuple[list[Fraction], np.ndarray]:
+    """One Fraction per distinct "p/q" string, and each entry's index into them."""
+    try:
+        distinct, index = distinct_entries(texts)
+    except TypeError:  # an unhashable entry: no string, so _rational rejects it
+        for text in texts:
+            _rational(text)
+        raise
+    return [_rational(t) for t in distinct], index
+
+
+def _gather(values: list, index: np.ndarray, rows: int, cols: int, dtype=object) -> np.ndarray:
+    return np.array(values, dtype=dtype)[index].reshape(rows, cols)
+
+
 def rational_matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = obj["rows"], obj["cols"]
-    flat = np.array([Fraction(s) for s in obj["entries"]], dtype=object)
-    return flat.reshape(rows, cols)
+    rows, cols, entries = _check_entry_count(obj)
+    return _gather(*_distinct_rationals(entries), rows, cols)
 
 
 def symbolic_matrix_to_json(sym: SymbolicMatrix) -> dict:
@@ -71,9 +118,15 @@ def symbolic_matrix_to_json(sym: SymbolicMatrix) -> dict:
 
 
 def symbolic_matrix_from_json(obj: dict) -> SymbolicMatrix:
-    rows, cols = obj["rows"], obj["cols"]
-    rp = np.array([Fraction(e["r"]) for e in obj["entries"]], dtype=object).reshape(rows, cols)
-    sp = np.array([Fraction(e["s"]) for e in obj["entries"]], dtype=object).reshape(rows, cols)
+    rows, cols, entries = _check_entry_count(obj)
+    try:
+        rtexts = [e["r"] for e in entries]
+        stexts = [e["s"] for e in entries]
+    except (TypeError, KeyError):
+        bad = next(e for e in entries if not (isinstance(e, dict) and "r" in e and "s" in e))
+        raise ValueError(f"symbolic entry {bad!r} is not an {{'r': 'p/q', 's': 'p/q'}} object") from None
+    rp = _gather(*_distinct_rationals(rtexts), rows, cols)
+    sp = _gather(*_distinct_rationals(stexts), rows, cols)
     return SymbolicMatrix(rp, sp)
 
 
@@ -93,7 +146,10 @@ def any_matrix_to_float(obj: dict, v: float | None = None) -> np.ndarray:
     if kind == "complex":
         return complex_matrix_from_json(obj)
     if kind == "rational":
-        return rational_matrix_from_json(obj).astype(np.float64)
+        # float() of each distinct Fraction; no Fraction matrix is built
+        rows, cols, entries = _check_entry_count(obj)
+        values, index = _distinct_rationals(entries)
+        return _gather([float(x) for x in values], index, rows, cols, np.float64)
     return substitute_v(symbolic_matrix_from_json(obj), math.pi if v is None else v)
 
 

@@ -113,6 +113,20 @@ def reorder_subsystems(rho: np.ndarray, dims: list[int], perm: tuple[int, ...]) 
     return rho.reshape(dims + dims).transpose(axes).reshape(d, d)
 
 
+def distinct_entries(seq) -> tuple[list, np.ndarray]:
+    """Distinct values of ``seq`` in first-seen order, and each entry's index into them.
+
+    Values are keyed by equality, so exact matrices, whose entries take few
+    distinct values, can be parsed, converted or multiplied once per value
+    and then gathered with ``np.array(values, dtype=object)[index]``.
+    """
+    first: dict = {}
+    index = np.fromiter(
+        (first.setdefault(x, len(first)) for x in seq), dtype=np.intp, count=len(seq)
+    )
+    return list(first), index
+
+
 def permutation_rows(sigma: tuple[int, ...], n: int) -> np.ndarray:
     """Row index of the single 1 in each column of V_sigma on (C^n)^(x len(sigma)).
 

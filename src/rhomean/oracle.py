@@ -32,7 +32,14 @@ from math import factorial
 
 import numpy as np
 
-from .linalg import DIM_CAP, Scenario, check_dim_cap, permutation_rows, reorder_subsystems
+from .linalg import (
+    DIM_CAP,
+    Scenario,
+    check_dim_cap,
+    distinct_entries,
+    permutation_rows,
+    reorder_subsystems,
+)
 from .symmetry import (
     character,
     class_size,
@@ -297,6 +304,21 @@ def exact_spectrum(result: OracleResult) -> list[tuple[Fraction, int]]:
     return sorted(merged.items())
 
 
+def _exact_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two Fraction matrices, one product per pair of distinct values.
+
+    Exact means take few distinct values, so the product of value labels
+    ia * len(vb) + ib indexes a small table of products; the label layout
+    (ra, rb, ca, cb) reshaped to (ra rb, ca cb) is np.kron's index convention.
+    """
+    va, ia = distinct_entries(a.ravel().tolist())
+    vb, ib = distinct_entries(b.ravel().tolist())
+    products = np.array([x * y for x in va for y in vb], dtype=object)
+    ia, ib = ia.reshape(a.shape), ib.reshape(b.shape)
+    labels = ia[:, None, :, None] * len(vb) + ib[None, :, None, :]
+    return products[labels].reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def composite_haar_mean(
     scenario: Scenario, qs: list[QLike] | None = None, cap: int = DIM_CAP
 ) -> OracleResult:
@@ -305,6 +327,8 @@ def composite_haar_mean(
     Independence factorizes the mean into the tensor product of per-factor
     means; the subsystems are then reordered from factor-major order
     (A_1..A_m, B_1..B_m, ...) to power-major order ((A_1 B_1..), (A_2 B_2..)).
+    Each Kronecker product multiplies every pair of distinct factor values
+    once and gathers the products by index (see ``_exact_kron``).
     """
     scenario.check_cap(cap)
     if qs is None:
@@ -317,7 +341,7 @@ def composite_haar_mean(
     ]
     mean = factor_results[0].mean
     for fr in factor_results[1:]:
-        mean = np.kron(mean, fr.mean)
+        mean = _exact_kron(mean, fr.mean)
     k = len(scenario.factors)
     # factor-major subsystem list: factor i repeated over power slots
     dims = [n for n in scenario.factors for _ in range(m)]

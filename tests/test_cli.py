@@ -3,11 +3,16 @@
 import json
 import math
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhomean.cli import main
 from rhomean.jsonio import (
+    any_matrix_to_float,
     complex_matrix_from_json,
     complex_matrix_to_json,
     cycles_to_perm,
@@ -18,10 +23,11 @@ from rhomean.jsonio import (
     oracle_result_to_json,
     perm_to_cycles,
     rational_matrix_from_json,
+    rational_matrix_to_json,
 )
 from rhomean.montecarlo import estimate_mean
 from rhomean.measures import HaarDirichletMeasure
-from rhomean.oracle import haar_mean
+from rhomean.oracle import _exact_kron, haar_mean
 
 
 def test_cycle_notation_round_trip():
@@ -119,6 +125,40 @@ def test_matrix_json_round_trips():
     assert np.all(back.mean == result.mean)
     assert back.coefficients == result.coefficients
     assert back.scenario == result.scenario
+
+
+@st.composite
+def few_valued_matrices(draw):
+    """Small matrices over a pool of at most four values, ints mixed with Fractions."""
+    pool = draw(
+        st.lists(
+            st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=12)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    return np.array(entries, dtype=object).reshape(rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(few_valued_matrices(), few_valued_matrices())
+def test_exact_wire_format_and_kron_match_per_entry_reference(a, b):
+    # the per-entry expressions below are the reference the distinct-value code must equal
+    obj = rational_matrix_to_json(a)
+    assert obj["entries"] == [str(Fraction(x)) for x in a.ravel()]
+    back = rational_matrix_from_json(json.loads(json.dumps(obj)))
+    reference = np.array([Fraction(x) for x in a.ravel()], dtype=object).reshape(a.shape)
+    assert back.shape == a.shape and np.all(back == reference)
+    assert all(type(x) is Fraction for x in back.ravel())
+    floats = any_matrix_to_float(obj)
+    assert floats.dtype == np.float64
+    assert floats.tobytes() == reference.astype(np.float64).tobytes()
+    fb = np.array([Fraction(x) for x in b.ravel()], dtype=object).reshape(b.shape)
+    kron = _exact_kron(reference, fb)
+    expected = np.kron(reference, fb)
+    assert kron.shape == expected.shape and np.all(kron == expected)
 
 
 def test_estimate_json_round_trip():
@@ -282,3 +322,27 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
     assert main(["sample", "--measure", '{"type":"zhsl"}']) == 1  # no "n"
     assert "'n'" in capsys.readouterr().err
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "matrix, named",
+    [
+        ({"rows": 1, "cols": 2, "entries": ["1/2", "1/0"]}, "'1/0'"),
+        ({"rows": 1, "cols": 2, "entries": ["1/2", "x"]}, "'x'"),
+        ({"rows": 1, "cols": 2, "entries": ["1/2", [1, 2]]}, "[1, 2]"),
+        ({"rows": 1, "cols": 2, "entries": ["1/2", 3]}, "3"),
+        ({"rows": 2, "cols": 2, "entries": ["1", "0", "0"]}, "rows * cols"),
+        ({"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}, "1"),
+        ({"rows": 1, "cols": 2, "entries": [[1, 0], [0, 1, 2]]}, "[0, 1, 2]"),
+        ({"rows": 1, "cols": 2, "entries": [[1, 0]]}, "rows * cols"),
+        ({"rows": 1, "cols": 2, "entries": [{"r": "1", "s": "0"}, {"r": "1/0", "s": "0"}]}, "'1/0'"),
+        ({"rows": 1, "cols": 2, "entries": [{"r": "1", "s": "0"}, {"r": "1"}]}, "{'r': '1'}"),
+        ({"rows": 2, "cols": 1, "entries": [{"r": "1", "s": "0"}]}, "rows * cols"),
+    ],
+)
+def test_spectrum_rejects_malformed_matrix_files(tmp_path, capsys, matrix, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    assert main(["spectrum", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rhomean: error:") and named in err
