@@ -93,7 +93,9 @@ def cmd_oracle(args) -> int:
 def cmd_spectrum(args) -> int:
     obj = jsonio.load_json(args.infile)
     # oracle and mean artifacts carry their matrix under "matrix"
-    mat = jsonio.any_matrix_to_float(obj.get("matrix", obj))
+    if isinstance(obj, dict) and "matrix" in obj:
+        obj = obj["matrix"]
+    mat = jsonio.any_matrix_to_float(obj)
     vals, vecs = hermitian_eig(mat, tol=args.tol * 100)
     dec = cluster_spectrum(vals, vecs, cluster_tol=args.tol)
     payload = {

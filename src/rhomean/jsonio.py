@@ -42,6 +42,11 @@ def complex_matrix_to_json(mat: np.ndarray) -> dict:
 
 
 def _check_entry_count(obj: dict) -> tuple[int, int, list]:
+    if not isinstance(obj, dict):
+        raise ValueError(f"matrix JSON is a {type(obj).__name__}, not an object")
+    for name in ("rows", "cols", "entries"):
+        if name not in obj:
+            raise ValueError(f"matrix JSON lacks the field {name!r}")
     rows, cols = obj["rows"], obj["cols"]
     entries = obj["entries"]
     if len(entries) != rows * cols:
@@ -132,7 +137,8 @@ def symbolic_matrix_from_json(obj: dict) -> SymbolicMatrix:
 
 def matrix_kind(obj: dict) -> str:
     """Classify a matrix JSON object as complex, rational or symbolic."""
-    e = obj["entries"][0] if obj["entries"] else [0, 0]
+    entries = _check_entry_count(obj)[2]
+    e = entries[0] if entries else [0, 0]
     if isinstance(e, str):
         return "rational"
     if isinstance(e, dict):

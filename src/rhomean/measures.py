@@ -5,6 +5,9 @@ Three sampling laws are supported:
 * ``HaarDirichletMeasure`` -- eigenvectors Haar-distributed on U(N),
   eigenvalues Dirichlet on the simplex with exponents -q_i (q = 0 means the
   uniform simplex); rho = U diag(e) U+.  Serialized with JSON tag "zhsl".
+  U comes from complex Ginibre columns orthonormalized by Gram-Schmidt, run
+  twice, and rho is formed as the projector sum
+  e_N I + sum_{j<N} (e_j - e_N) q_j q_j+, so only N - 1 columns are built.
 * ``BlochBallMeasure`` -- 2x2 states with a uniformly random Bloch direction
   and radial law r^2 (1-r^2)^(-u) dr, i.e. r^2 ~ Beta(3/2, 1-u).  u = 1/2 is
   the normalized Bures volume element.
@@ -141,17 +144,34 @@ def measure_from_json(obj: dict) -> MeasureSpec:
 # ---------------------------------------------------------------------------
 
 
-def haar_unitaries(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
-    """(size, n, n) Haar-distributed unitaries.
+def _haar_columns(n: int, k: int, size: int, gen: np.random.Generator) -> np.ndarray:
+    """(k, size, n): the first k columns of ``size`` Haar unitaries on C^n.
 
-    Complex Ginibre followed by QR with the phases of R's diagonal pushed into
-    Q; this makes the factorization unique and the Q factor exactly Haar.
+    Complex Ginibre followed by Gram-Schmidt on its columns, each projection
+    pass run twice so rounding leaves the columns orthonormal.  This is the QR
+    factor whose R has a positive real diagonal: unique, hence exactly Haar.
+    All n columns are drawn whatever k is, so the stream advances alike.
     """
     zr = gen.standard_normal((size, n, n))
     zi = gen.standard_normal((size, n, n))
-    q, r = np.linalg.qr(zr + 1j * zi)
-    d = np.einsum("bii->bi", r)
-    return q * (d / np.abs(d))[:, None, :]
+    # column j of every draw as one contiguous (size, n) block
+    q = np.ascontiguousarray((zr[:, :, :k] + 1j * zi[:, :, :k]).transpose(2, 0, 1))
+    for j in range(k):
+        v = q[j]
+        for _ in range(2 if j else 0):
+            v -= np.einsum("jb,jbi->bi", np.einsum("jbi,bi->jb", q[:j].conj(), v), q[:j])
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return q
+
+
+def haar_unitaries(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
+    """(size, n, n) Haar-distributed unitaries.
+
+    Complex Ginibre orthonormalized by Gram-Schmidt, run twice per column
+    (see ``_haar_columns``); the same draws give the QR factor with R's
+    diagonal phases pushed into Q, up to rounding.
+    """
+    return _haar_columns(n, n, size, gen).transpose(1, 2, 0)
 
 
 def sample_haar_unitary(n: int, rng) -> np.ndarray:
@@ -174,9 +194,14 @@ def sample_simplex(n: int, q, rng) -> np.ndarray:
 
 
 def _haar_dirichlet_batch(m: HaarDirichletMeasure, size: int, gen) -> np.ndarray:
-    u = haar_unitaries(m.n, size, gen)
+    # U diag(e) U+ = e_last I + sum_{j<last} (e_j - e_last) q_j q_j+, since the
+    # projectors onto the columns q_j sum to I: only N - 1 columns are needed
+    q = _haar_columns(m.n, m.n - 1, size, gen)
     e = simplex_points(m.n, m.q, size, gen)
-    return np.einsum("bij,bj,bkj->bik", u, e, u.conj())
+    w = e[:, :-1] - e[:, -1:]
+    rho = np.einsum("jbi,jbk->bik", w.T[:, :, None] * q, q.conj())
+    rho.reshape(size, m.n * m.n)[:, :: m.n + 1] += e[:, -1:]
+    return rho
 
 
 def _bloch_batch(m: BlochBallMeasure, size: int, gen) -> np.ndarray:
@@ -220,47 +245,3 @@ def sample_density(spec: MeasureSpec, rng, validate: bool = False) -> np.ndarray
     if validate:
         validate_density_matrix(rho)
     return rho
-
-
-# ---------------------------------------------------------------------------
-# Euler-angle cross-check sampler for N = 2
-# ---------------------------------------------------------------------------
-
-
-def su2_euler_unitaries(size: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar SU(2) via 4-sphere polar angles with density sin^2(chi) sin(theta).
-
-    Slower than the QR route and limited to N = 2; kept as an independent
-    cross-check of the Haar sampler.  chi is drawn by bisecting its CDF
-    (2 chi - sin 2 chi) / (2 pi), which is monotone on [0, pi].
-    """
-    target = gen.uniform(0.0, 1.0, size)
-    lo = np.zeros(size)
-    hi = np.full(size, np.pi)
-    for _ in range(60):
-        chi = 0.5 * (lo + hi)
-        below = (2 * chi - np.sin(2 * chi)) / (2 * np.pi) < target
-        lo = np.where(below, chi, lo)
-        hi = np.where(below, hi, chi)
-    chi = 0.5 * (lo + hi)
-    cos_theta = gen.uniform(-1.0, 1.0, size)
-    sin_theta = np.sqrt(1 - cos_theta**2)
-    phi = gen.uniform(0.0, 2 * np.pi, size)
-    x0 = np.cos(chi)
-    x1 = np.sin(chi) * cos_theta
-    x2 = np.sin(chi) * sin_theta * np.cos(phi)
-    x3 = np.sin(chi) * sin_theta * np.sin(phi)
-    u = np.empty((size, 2, 2), dtype=complex)
-    u[:, 0, 0] = x0 + 1j * x3
-    u[:, 0, 1] = x2 + 1j * x1
-    u[:, 1, 0] = -x2 + 1j * x1
-    u[:, 1, 1] = x0 - 1j * x3
-    return u
-
-
-def sample_density_euler(q, rng) -> np.ndarray:
-    """One 2x2 Haar-Dirichlet draw using the Euler-angle unitary sampler."""
-    gen = _as_generator(rng)
-    u = su2_euler_unitaries(1, gen)[0]
-    e = simplex_points(2, q, 1, gen)[0]
-    return (u * e) @ u.conj().T

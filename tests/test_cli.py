@@ -338,11 +338,14 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
         ({"rows": 1, "cols": 2, "entries": [{"r": "1", "s": "0"}, {"r": "1/0", "s": "0"}]}, "'1/0'"),
         ({"rows": 1, "cols": 2, "entries": [{"r": "1", "s": "0"}, {"r": "1"}]}, "{'r': '1'}"),
         ({"rows": 2, "cols": 1, "entries": [{"r": "1", "s": "0"}]}, "rows * cols"),
+        ({"cols": 2, "entries": ["1/2", "1/2"]}, "'rows'"),
+        (["1/2", "1/2"], "list, not an object"),
     ],
 )
 def test_spectrum_rejects_malformed_matrix_files(tmp_path, capsys, matrix, named):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"matrix": matrix}))
+    # a list is written as the whole file, which then has no top-level object
+    path.write_text(json.dumps(matrix if isinstance(matrix, list) else {"matrix": matrix}))
     assert main(["spectrum", "--in", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("rhomean: error:") and named in err

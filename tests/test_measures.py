@@ -13,11 +13,9 @@ from rhomean.measures import (
     measure_from_json,
     sample_density,
     sample_density_batch,
-    sample_density_euler,
     sample_haar_unitary,
     sample_simplex,
     simplex_points,
-    su2_euler_unitaries,
 )
 
 
@@ -34,6 +32,34 @@ def test_haar_unitarity():
     for n in (2, 3, 4):
         u = sample_haar_unitary(n, RandomStream(1))
         assert np.abs(u @ u.conj().T - np.eye(n)).max() < 1e-12
+
+
+def qr_reference(n, q, size, gen):
+    """Haar U and rho = U diag(e) U+ by QR with R's diagonal phases pushed into Q."""
+    zr = gen.standard_normal((size, n, n))
+    zi = gen.standard_normal((size, n, n))
+    u, r = np.linalg.qr(zr + 1j * zi)
+    d = np.einsum("bii->bi", r)
+    u = u * (d / np.abs(d))[:, None, :]
+    e = simplex_points(n, q, size, gen)
+    return u, np.einsum("bij,bj,bkj->bik", u, e, u.conj())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gram_schmidt_sampler_matches_qr_reference(n):
+    # same Ginibre draws, so the same U and rho up to rounding, and the same
+    # stream consumption (product measures share one generator in order)
+    size = 4096
+    u_ref, _ = qr_reference(n, 0.0, size, gen(16, n))
+    u = haar_unitaries(n, size, gen(16, n))
+    assert np.abs(u - u_ref).max() < 1e-12
+    assert np.abs(np.einsum("bji,bjk->bik", u.conj(), u) - np.eye(n)).max() < 1e-13
+    for q in ((0.5,) * n, (0.5,) + (-1.0,) * (n - 1)):
+        g_ref, g = gen(17, n), gen(17, n)
+        _, rho_ref = qr_reference(n, q, size, g_ref)
+        rho = sample_density_batch(HaarDirichletMeasure(n=n, q=q), size, g)
+        assert np.abs(rho - rho_ref).max() < 1e-14
+        np.testing.assert_equal(g.bit_generator.state, g_ref.bit_generator.state)
 
 
 def test_haar_first_entry_moment():
@@ -147,32 +173,3 @@ def test_measure_json_round_trip():
         HaarDirichletMeasure(n=2, q=(1.0, 0.0))
     with pytest.raises(ValueError):
         BlochBallMeasure(u=1.0)
-
-
-def test_euler_angle_sampler_agrees_with_qr_haar():
-    # same distribution as the QR route: SU(2) column moments
-    u = su2_euler_unitaries(50_000, gen(13))
-    assert np.abs(np.einsum("bij,bkj->bik", u, u.conj()) - np.eye(2)).max() < 1e-10
-    m, se = mean_with_stderr(np.abs(u[:, 0, 0]) ** 2)
-    assert abs(m - 1 / 2) < 5 * se
-    m, se = mean_with_stderr(np.abs(u[:, 0, 0] * u[:, 1, 1]) ** 2)
-    assert abs(m - 1 / 3) < 5 * se
-    rho = sample_density_euler(0.0, RandomStream(14))
-    validate_density_matrix(rho)
-
-
-def test_euler_sampler_mean_matches_published_4x4():
-    # cross-check sampler: mean of rho x rho reproduces the published matrix
-    g = gen(15)
-    total = np.zeros((4, 4), dtype=complex)
-    count = 60_000
-    u = su2_euler_unitaries(count, g)
-    e = simplex_points(2, 0.0, count, g)
-    rho = np.einsum("bij,bj,bkj->bik", u, e, u.conj())
-    r2 = np.einsum("bij,bkl->bikjl", rho, rho).reshape(count, 4, 4)
-    mean = r2.mean(axis=0)
-    se = r2.real.std(axis=0, ddof=1) / np.sqrt(count)
-    from rhomean.fixtures import get_fixture
-
-    want = get_fixture("n2m2").matrix.rpart.astype(float)
-    assert (np.abs(mean.real - want) <= 5 * np.maximum(se, 1e-12)).all()
