@@ -8,10 +8,11 @@ as strings so exactness survives the round trip.
 
 Exact matrices take few distinct values (an oracle mean lies in the commutant
 of SU(N)^(x m), e.g. 17 values among the 65536 entries at N=4, m=4), so the
-exact readers and writers work by distinct value: each distinct string is
-parsed and checked once, each distinct value is formatted once, and the
-entries are gathered by an integer index.  Equal entries of a read-back
-matrix therefore share one immutable ``Fraction``.
+exact readers and writers work on the labelled form (values, labels) of
+``OracleResult.labelled``: each distinct string is parsed once, each distinct
+value is formatted once, and entries are gathered by the integer labels.  An
+oracle artifact is written from and read back into that form, with no dense
+Fraction matrix in between.
 """
 
 from __future__ import annotations
@@ -68,16 +69,19 @@ def complex_matrix_from_json(obj: dict) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-def rational_matrix_to_json(mat: np.ndarray) -> dict:
-    # equal values give equal strings, so formatting each distinct value once
-    # writes the same bytes as formatting every entry
-    values, index = distinct_entries(mat.ravel().tolist())
+def labelled_matrix_to_json(values: list, labels: np.ndarray) -> dict:
+    """Rational matrix schema of values[labels], formatting each distinct value once."""
     texts = np.array([str(Fraction(x)) for x in values], dtype=object)
     return {
-        "rows": mat.shape[0],
-        "cols": mat.shape[1],
-        "entries": texts[index].tolist(),
+        "rows": labels.shape[0],
+        "cols": labels.shape[1],
+        "entries": texts[labels].ravel().tolist(),
     }
+
+
+def rational_matrix_to_json(mat: np.ndarray) -> dict:
+    values, index = distinct_entries(mat.ravel().tolist())
+    return labelled_matrix_to_json(values, index.reshape(mat.shape))
 
 
 def _rational(text) -> Fraction:
@@ -89,37 +93,32 @@ def _rational(text) -> Fraction:
         raise ValueError(f"rational entry {text!r} is not a rational p/q with q != 0") from None
 
 
-def _distinct_rationals(texts: list) -> tuple[list[Fraction], np.ndarray]:
-    """One Fraction per distinct "p/q" string, and each entry's index into them."""
+def _labelled_rationals(rows: int, cols: int, texts: list) -> tuple[list[Fraction], np.ndarray]:
+    """Pairwise distinct Fractions of the "p/q" strings, and a (rows, cols) label array."""
     try:
         distinct, index = distinct_entries(texts)
     except TypeError:  # an unhashable entry: no string, so _rational rejects it
         for text in texts:
             _rational(text)
         raise
-    return [_rational(t) for t in distinct], index
+    # distinct strings such as "1/2" and "2/4" may name one value
+    values, merged = distinct_entries([_rational(t) for t in distinct])
+    return values, merged[index].reshape(rows, cols)
 
 
-def _gather(values: list, index: np.ndarray, rows: int, cols: int, dtype=object) -> np.ndarray:
-    return np.array(values, dtype=dtype)[index].reshape(rows, cols)
+def _gather(values: list, labels: np.ndarray, dtype=object) -> np.ndarray:
+    return np.array(values, dtype=dtype)[labels]
 
 
 def rational_matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols, entries = _check_entry_count(obj)
-    return _gather(*_distinct_rationals(entries), rows, cols)
+    return _gather(*_labelled_rationals(*_check_entry_count(obj)))
 
 
 def symbolic_matrix_to_json(sym: SymbolicMatrix) -> dict:
-    n = sym.dim
-    return {
-        "rows": n,
-        "cols": n,
-        "entries": [
-            {"r": str(sym.rpart[i, j]), "s": str(sym.spart[i, j])}
-            for i in range(n)
-            for j in range(n)
-        ],
-    }
+    out = rational_matrix_to_json(sym.rpart)
+    stexts = rational_matrix_to_json(sym.spart)["entries"]
+    out["entries"] = [{"r": r, "s": s} for r, s in zip(out["entries"], stexts)]
+    return out
 
 
 def symbolic_matrix_from_json(obj: dict) -> SymbolicMatrix:
@@ -130,8 +129,8 @@ def symbolic_matrix_from_json(obj: dict) -> SymbolicMatrix:
     except (TypeError, KeyError):
         bad = next(e for e in entries if not (isinstance(e, dict) and "r" in e and "s" in e))
         raise ValueError(f"symbolic entry {bad!r} is not an {{'r': 'p/q', 's': 'p/q'}} object") from None
-    rp = _gather(*_distinct_rationals(rtexts), rows, cols)
-    sp = _gather(*_distinct_rationals(stexts), rows, cols)
+    rp = _gather(*_labelled_rationals(rows, cols, rtexts))
+    sp = _gather(*_labelled_rationals(rows, cols, stexts))
     return SymbolicMatrix(rp, sp)
 
 
@@ -153,9 +152,8 @@ def any_matrix_to_float(obj: dict, v: float | None = None) -> np.ndarray:
         return complex_matrix_from_json(obj)
     if kind == "rational":
         # float() of each distinct Fraction; no Fraction matrix is built
-        rows, cols, entries = _check_entry_count(obj)
-        values, index = _distinct_rationals(entries)
-        return _gather([float(x) for x in values], index, rows, cols, np.float64)
+        values, labels = _labelled_rationals(*_check_entry_count(obj))
+        return _gather([float(x) for x in values], labels, np.float64)
     return substitute_v(symbolic_matrix_from_json(obj), math.pi if v is None else v)
 
 
@@ -215,7 +213,7 @@ def oracle_result_to_json(result: OracleResult) -> dict:
         "factors": list(result.scenario.factors),
         "m": result.scenario.power,
         "q": [[str(x) for x in qs] for qs in result.q],
-        "matrix": rational_matrix_to_json(result.mean),
+        "matrix": labelled_matrix_to_json(*result.labelled),
     }
     if result.class_coefficients is not None:
         out["coefficients_form"] = "class"
@@ -270,7 +268,7 @@ def oracle_result_from_json(obj: dict) -> OracleResult:
         q=tuple(tuple(Fraction(x) for x in qs) for qs in obj["q"]),
         class_coefficients=coeffs,
         factor_spectra=factor_spectra,
-        matrix=rational_matrix_from_json(obj["matrix"]),
+        matrix=_labelled_rationals(*_check_entry_count(obj["matrix"])),
     )
 
 

@@ -98,8 +98,9 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep: tuple[int, ...]) -> np
 def reorder_subsystems(rho: np.ndarray, dims: list[int], perm: tuple[int, ...]) -> np.ndarray:
     """Conjugate by the subsystem permutation placing old subsystem perm[k] at slot k.
 
-    Works for numeric and exact (object dtype) matrices alike; the spectrum is
-    unchanged since this is a unitary conjugation.
+    Works for numeric and exact (object dtype) matrices alike, and permutes
+    the integer label arrays of labelled exact matrices the same way; the
+    spectrum is unchanged since this is a unitary conjugation.
     """
     dims = list(dims)
     if prod(dims) != rho.shape[0]:
@@ -108,7 +109,6 @@ def reorder_subsystems(rho: np.ndarray, dims: list[int], perm: tuple[int, ...]) 
         raise ValueError("perm must be a permutation of the subsystem indices")
     n = len(dims)
     axes = list(perm) + [p + n for p in perm]
-    new_dims = [dims[p] for p in perm]
     d = prod(dims)
     return rho.reshape(dims + dims).transpose(axes).reshape(d, d)
 

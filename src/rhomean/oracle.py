@@ -16,17 +16,20 @@ sum_K a_K |K| chi^lam(K) / f^lam = c_lam, one row per lam with at most N
 rows, whose right-hand side reduces to simplex moments of the power sums.
 The p(m) class coefficients are the stored form of a result: the exact
 spectrum reads the same rows, so it needs no enumeration of S_m and no
-matrix, and the dense matrix sum_K a_K W_K is built only when it is first
-read.  Everything is computed in exact rational arithmetic; eigenvalues and
-multiplicities come from the irreducible-component decomposition of
-(C^N)^(x m), not from floating-point diagonalization.
+matrix.  The matrix takes few distinct values (17 of 65536 at N=4, m=4), so
+it is labelled: distinct Fractions ``values`` and a (D, D) integer array
+``labels``, and building, Kronecker products and reordering touch each value
+once; the dense matrix is gathered on demand.  Everything is computed in
+exact rational arithmetic; eigenvalues and multiplicities come from the
+irreducible-component decomposition of (C^N)^(x m), not from floating-point
+diagonalization.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from math import factorial
 
@@ -50,6 +53,7 @@ from .symmetry import (
 )
 
 QLike = Fraction | int | list | tuple
+Labelled = tuple[list[Fraction], np.ndarray]  # matrix values[labels], values distinct
 
 
 def _as_q_vector(n: int, q: QLike) -> tuple[Fraction, ...]:
@@ -151,32 +155,58 @@ class OracleResult:
     ``class_coefficients`` maps each cycle type K, in sorted(partitions(m))
     order, to a_K in mean = sum_K a_K W_K, where W_K is the sum of the slot
     permutation operators V_sigma over the class.  ``spectrum()`` reads them
-    through the character system.  ``mean`` (the dense Fraction matrix) is
-    built on first read and cached; ``coefficients`` expands the classes to
-    one entry per sigma in S_m, also on first read.
+    through the character system.  ``labelled`` and the dense ``mean``
+    (values[labels]) are built on first read and cached; ``coefficients``
+    expands the classes to one entry per sigma in S_m, also on first read.
 
     Composite scenarios built from independent factors have no class
-    coefficients; they carry the factor spectra and pass their matrix as
-    ``matrix``, as do results read back from an artifact.
+    coefficients; they carry the factor spectra and pass their labelled
+    matrix as ``matrix``, as do results read back from an artifact.
     """
 
     scenario: Scenario
     q: tuple[tuple[Fraction, ...], ...]  # per factor
     class_coefficients: dict[tuple[int, ...], Fraction] | None = None
     factor_spectra: tuple[tuple[tuple[Fraction, int], ...], ...] | None = None
-    matrix: InitVar[np.ndarray | None] = None
+    matrix: InitVar[Labelled | None] = None
 
     def __post_init__(self, matrix):
         if matrix is not None:
-            self.__dict__["mean"] = matrix  # fills the cached property
+            self.__dict__["labelled"] = matrix  # fills the cached property
         elif self.class_coefficients is None:
             raise ValueError("a result without class coefficients needs its matrix")
 
     @cached_property
+    def labelled(self) -> Labelled:
+        """sum_K a_K W_K, folding each class's integer V_sigma counts into the labels."""
+        (n,), m = self.scenario.factors, self.scenario.power
+        d = n**m
+        cols = np.arange(d)
+        values, labels = [Fraction(0)], np.zeros(d * d, dtype=np.intp)
+        for ct, elems in conjugacy_classes(m).items():
+            a = self.class_coefficients[ct]
+            if a == 0:  # the classes pinned to zero by the solve
+                continue
+            counts = np.zeros(d * d, dtype=np.intp)
+            for sigma in elems:
+                # V_sigma is a permutation matrix: the indices are distinct
+                counts[permutation_rows(sigma, n) * d + cols] += 1
+            # key label * base + count has the value values[label] + a * count; a
+            # table over the small key range (values times |K| + 1) ranks the keys
+            base = len(elems) + 1
+            keys = labels * base + counts
+            hit = np.zeros(len(values) * base, dtype=bool)
+            hit[keys] = True
+            folded = [values[k // base] + a * (k % base) for k in np.flatnonzero(hit).tolist()]
+            values, index = distinct_entries(folded)
+            labels = index[np.cumsum(hit)[keys] - 1]
+        return values, labels.reshape(d, d)
+
+    @cached_property
     def mean(self) -> np.ndarray:
-        """Dense object array of Fraction, built from the class coefficients."""
-        (n,) = self.scenario.factors
-        return dense_mean(n, self.scenario.power, self.class_coefficients)
+        """Dense object array of Fraction, gathered from the labelled matrix."""
+        values, labels = self.labelled
+        return np.array(values, dtype=object)[labels]
 
     @cached_property
     def coefficients(self) -> dict[tuple[int, ...], Fraction] | None:
@@ -193,32 +223,12 @@ class OracleResult:
         return exact_spectrum(self)
 
     def mean_float(self) -> np.ndarray:
-        return self.mean.astype(np.float64)
+        values, labels = self.labelled
+        return np.array([float(v) for v in values])[labels]
 
     def trace(self) -> Fraction:
-        return sum(self.mean[i, i] for i in range(self.mean.shape[0]))
-
-
-def dense_mean(
-    n: int, m: int, class_coefficients: dict[tuple[int, ...], Fraction]
-) -> np.ndarray:
-    """sum_K a_K W_K on (C^n)^(x m) as a dense object array of Fraction.
-
-    Each sigma of a class with a_K != 0 adds a_K along the single 1 in each
-    column of V_sigma; the classes pinned to zero by the solve are skipped.
-    """
-    d = n**m
-    mean = np.full((d, d), Fraction(0), dtype=object)
-    flat = mean.reshape(-1)
-    cols = np.arange(d)
-    for ct, elems in conjugacy_classes(m).items():
-        c = class_coefficients[ct]
-        if c == 0:
-            continue
-        for sigma in elems:
-            # V_sigma is a permutation matrix: the indices are distinct
-            flat[permutation_rows(sigma, n) * d + cols] += c
-    return mean
+        values, labels = self.labelled
+        return sum(values[i] for i in labels.diagonal().tolist())
 
 
 def _irreps(n: int, m: int) -> list[tuple[int, int, list[Fraction]]]:
@@ -245,8 +255,8 @@ def haar_mean(
 
     ``q`` is the common simplex exponent (q = 0 is the uniform simplex) or a
     length-N sequence of exponents; all must be < 1.  Only the class
-    coefficients are computed here; the dense matrix is built on first read
-    of ``.mean``.  The dimension cap applies all the same.
+    coefficients are computed here; the matrix is built on first read of
+    ``.labelled`` or ``.mean``.  The dimension cap applies all the same.
     """
     if m < 1:
         raise ValueError("power m must be >= 1")
@@ -304,19 +314,13 @@ def exact_spectrum(result: OracleResult) -> list[tuple[Fraction, int]]:
     return sorted(merged.items())
 
 
-def _exact_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two Fraction matrices, one product per pair of distinct values.
-
-    Exact means take few distinct values, so the product of value labels
-    ia * len(vb) + ib indexes a small table of products; the label layout
-    (ra, rb, ca, cb) reshaped to (ra rb, ca cb) is np.kron's index convention.
-    """
-    va, ia = distinct_entries(a.ravel().tolist())
-    vb, ib = distinct_entries(b.ravel().tolist())
-    products = np.array([x * y for x in va for y in vb], dtype=object)
-    ia, ib = ia.reshape(a.shape), ib.reshape(b.shape)
-    labels = ia[:, None, :, None] * len(vb) + ib[None, :, None, :]
-    return products[labels].reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+def labelled_kron(a: Labelled, b: Labelled) -> Labelled:
+    """np.kron of two labelled matrices, one product per pair of distinct values."""
+    (va, ia), (vb, ib) = a, b
+    values, index = distinct_entries([x * y for x in va for y in vb])
+    # label products in the layout (ra, rb, ca, cb); the reshape gives np.kron's order
+    labels = index[ia[:, None, :, None] * len(vb) + ib[None, :, None, :]]
+    return values, labels.reshape(ia.shape[0] * ib.shape[0], ia.shape[1] * ib.shape[1])
 
 
 def composite_haar_mean(
@@ -327,8 +331,7 @@ def composite_haar_mean(
     Independence factorizes the mean into the tensor product of per-factor
     means; the subsystems are then reordered from factor-major order
     (A_1..A_m, B_1..B_m, ...) to power-major order ((A_1 B_1..), (A_2 B_2..)).
-    Each Kronecker product multiplies every pair of distinct factor values
-    once and gathers the products by index (see ``_exact_kron``).
+    Both steps run on the factors' integer labels (see ``labelled_kron``).
     """
     scenario.check_cap(cap)
     if qs is None:
@@ -339,17 +342,14 @@ def composite_haar_mean(
     factor_results = [
         haar_mean(n, m, q, cap=cap) for n, q in zip(scenario.factors, qs)
     ]
-    mean = factor_results[0].mean
-    for fr in factor_results[1:]:
-        mean = _exact_kron(mean, fr.mean)
+    values, labels = reduce(labelled_kron, [fr.labelled for fr in factor_results])
     k = len(scenario.factors)
     # factor-major subsystem list: factor i repeated over power slots
     dims = [n for n in scenario.factors for _ in range(m)]
     perm = tuple(i * m + s for s in range(m) for i in range(k))
-    mean = reorder_subsystems(mean, dims, perm)
     return OracleResult(
         scenario=scenario,
         q=tuple(fr.q[0] for fr in factor_results),
         factor_spectra=tuple(tuple(fr.spectrum()) for fr in factor_results),
-        matrix=mean,
+        matrix=(values, reorder_subsystems(labels, dims, perm)),
     )

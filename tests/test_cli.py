@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 from fractions import Fraction
 
@@ -27,7 +28,10 @@ from rhomean.jsonio import (
 )
 from rhomean.montecarlo import estimate_mean
 from rhomean.measures import HaarDirichletMeasure
-from rhomean.oracle import _exact_kron, haar_mean
+from rhomean.linalg import distinct_entries
+from rhomean.oracle import haar_mean, labelled_kron
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_cycle_notation_round_trip():
@@ -72,8 +76,8 @@ def test_oracle_artifact_round_trips_at_ten_slots():
         scenario=Scenario(factors=(2,), power=10),
         q=((Fraction(0), Fraction(0)),),
         class_coefficients=class_coefficients,
-        # a stand-in: the dense build at D = 1024 would enumerate all of S_10
-        matrix=np.array([[Fraction(1, 1024)]], dtype=object),
+        # a labelled stand-in: the build at D = 1024 would enumerate all of S_10
+        matrix=([Fraction(1, 1024)], np.zeros((1, 1), dtype=np.intp)),
     )
     payload = oracle_result_to_json(result)
     assert len(payload["coefficients"]) == 42
@@ -82,6 +86,7 @@ def test_oracle_artifact_round_trips_at_ten_slots():
     back = oracle_result_from_json(json.loads(json.dumps(payload)))
     assert back.class_coefficients == class_coefficients
     assert back.scenario == result.scenario
+    assert back.mean.tolist() == [[Fraction(1, 1024)]]
 
 
 def test_oracle_artifact_keys_one_coefficient_per_class():
@@ -122,9 +127,17 @@ def test_matrix_json_round_trips():
     assert np.array_equal(complex_matrix_from_json(complex_matrix_to_json(mat)), mat)
     result = haar_mean(2, 2, 0)
     back = oracle_result_from_json(oracle_result_to_json(result))
+    assert "mean" not in back.__dict__  # read back labelled; dense only on demand
+    assert back.trace() == 1 and "mean" not in back.__dict__
     assert np.all(back.mean == result.mean)
     assert back.coefficients == result.coefficients
     assert back.scenario == result.scenario
+    # distinct strings naming one value read back as one labelled value
+    payload = oracle_result_to_json(result)
+    payload["matrix"]["entries"][:4] = ["1/2", "2/4", "0", "0/3"]
+    values, labels = oracle_result_from_json(payload).labelled
+    assert len(set(values)) == len(values)
+    assert labels[0, 0] == labels[0, 1] != labels[0, 2] == labels[0, 3]
 
 
 @st.composite
@@ -156,7 +169,11 @@ def test_exact_wire_format_and_kron_match_per_entry_reference(a, b):
     assert floats.dtype == np.float64
     assert floats.tobytes() == reference.astype(np.float64).tobytes()
     fb = np.array([Fraction(x) for x in b.ravel()], dtype=object).reshape(b.shape)
-    kron = _exact_kron(reference, fb)
+    va, ia = distinct_entries(reference.ravel().tolist())
+    vb, ib = distinct_entries(fb.ravel().tolist())
+    values, labels = labelled_kron((va, ia.reshape(a.shape)), (vb, ib.reshape(b.shape)))
+    assert len(set(values)) == len(values)
+    kron = np.array(values, dtype=object)[labels]
     expected = np.kron(reference, fb)
     assert kron.shape == expected.shape and np.all(kron == expected)
 
@@ -187,6 +204,21 @@ def test_oracle_command_composite(tmp_path):
     payload = load_json(out)
     assert payload["factors"] == [2, 3]
     assert ["1/72", 3] in payload["spectrum"]
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--n", "3", "--m", "3", "--q=-1/2"], "oracle_n3_m3_q-1_2.json"),
+        (["--n", "2x3", "--m", "2", "--q=1/2,-1/3"], "oracle_n2x3_m2_q1_2_-1_3.json"),
+    ],
+)
+def test_oracle_artifact_matches_golden_bytes(tmp_path, argv, golden):
+    # the golden files were written by `rhomean oracle --out` before the
+    # labelled matrix form; artifacts must stay byte-identical
+    out = tmp_path / golden
+    assert main(["oracle", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_ks_command(capsys, tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import rhomean.oracle
 from rhomean.fixtures import get_fixture
-from rhomean.linalg import Scenario, permutation_operator
+from rhomean.linalg import DIM_CAP, Scenario, permutation_operator
 from rhomean.measures import RandomStream, sample_haar_unitary
 from rhomean.oracle import (
     composite_haar_mean,
@@ -218,7 +218,7 @@ def test_spectrum_needs_neither_matrix_nor_enumeration(monkeypatch, n, m, q):
     monkeypatch.setattr(rhomean.oracle, "conjugacy_classes", refuse)
     result = haar_mean(n, m, q)
     assert result.spectrum() == want
-    assert "mean" not in result.__dict__
+    assert "labelled" not in result.__dict__ and "mean" not in result.__dict__
     assert "coefficients" not in result.__dict__
     assert sorted(result.class_coefficients) == sorted(partitions(m))
 
@@ -226,9 +226,30 @@ def test_spectrum_needs_neither_matrix_nor_enumeration(monkeypatch, n, m, q):
 def test_mean_is_built_once_on_first_read():
     result = haar_mean(2, 3, 0)
     assert "mean" not in result.__dict__
+    # trace and floats read the labelled form, not the dense Fraction matrix
+    assert result.trace() == 1
+    floats = result.mean_float()
+    assert "mean" not in result.__dict__
+    assert result.labelled is result.labelled
     first = result.mean
     assert result.mean is first
+    assert floats.dtype == np.float64 and floats.tobytes() == first.astype(np.float64).tobytes()
     assert {cycle_type(s): c for s, c in result.coefficients.items()} == result.class_coefficients
+
+
+@pytest.mark.parametrize(
+    "n, m, q",
+    [(n, m, F(1, 3)) for n in (2, 3, 4) for m in range(1, 6) if n**m <= DIM_CAP]
+    + [(3, 4, [F(1, 2), F(0), F(-1, 3)])],
+)
+def test_labelled_build_matches_per_sigma_reference(n, m, q):
+    result = haar_mean(n, m, q)
+    values, labels = result.labelled
+    assert len(set(values)) == len(values)  # pairwise distinct
+    assert all(type(v) is F for v in values)
+    assert labels.shape == (n**m, n**m) and labels.dtype == np.intp
+    assert labels.min() >= 0 and labels.max() < len(values)
+    assert np.all(reconstruct(result) == np.array(values, dtype=object)[labels])
 
 
 def _partial_trace_last(mean, n):
@@ -257,9 +278,11 @@ def test_oracle_exact_invariants_property(case):
     n, m, q = case
     result = haar_mean(n, m, q)
     spec = result.spectrum()
-    assert "mean" not in result.__dict__  # the spectrum needs no matrix
+    assert "labelled" not in result.__dict__  # the spectrum needs no matrix
     # the lazily built matrix is the per-sigma sum of permutation operators
     assert np.all(reconstruct(result) == result.mean)
+    values = result.labelled[0]
+    assert len(set(values)) == len(values)
     assert result.trace() == 1
     # the spectrum read from the class coefficients is the matrix's spectrum
     expanded = [float(v) for v, k in spec for _ in range(k)]
@@ -283,7 +306,9 @@ def test_composite_two_by_three():
         (F(5, 216), 9),
         (F(5, 144), 18),
     ]
-    assert sum(comp.mean[i, i] for i in range(36)) == 1
+    assert sum(comp.mean[i, i] for i in range(36)) == 1 == comp.trace()
+    values = comp.labelled[0]
+    assert len(set(values)) == len(values)
     # the published matrix has 966 zero entries with its 240 rational/pi cells
     # kept; the invariant mean zeroes those cells as well
     assert int((comp.mean == 0).sum()) == 966 + 240
