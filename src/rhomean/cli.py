@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=workers_default)
+    p.add_argument("--workers", type=_positive_int, default=workers_default)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_mean)
 
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=workers_default)
+    p.add_argument("--workers", type=_positive_int, default=workers_default)
     p.add_argument("--full-budget", action="store_true", help="use full published budgets")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)

@@ -13,6 +13,14 @@ reduces them to (count, mean, sum-of-squared-deviations) with numpy's pairwise
 summation; chunks are then merged in a deterministic binary tree, which keeps
 repeated runs bitwise identical, and the merged vectors are scattered to the
 D^m x D^m matrix once at the end.
+
+With ``workers > 1`` the chunks run in one ``fork`` pool per process.  It is
+forked by the first call that has more than one chunk, reused by later calls,
+replaced when a call needs another number of processes, and terminated at
+interpreter exit by a multiprocessing finalizer.  A chunk reads no table
+the parent built after the fork: it only needs ``monomial_pairs``, which each
+worker caches for itself.  Calls that share the pool are meant to come from
+one thread at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +41,10 @@ from .measures import (
     RandomStream,
     sample_density_batch,
 )
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool
+    from multiprocessing.util import Finalize
 
 #: Target number of D^m x D^m entries per chunk batch.  The chunk boundaries
 #: fix the Philox draws, so they are deliberately still sized on the D^(2m)
@@ -57,22 +71,35 @@ def chunk_size_for(dim: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def monomial_pairs(dim: int, m: int) -> np.ndarray:
+    """The distinct monomials of rho^(x m) for a dim x dim rho, one per row.
+
+    Row k of the read-only (M, m) int64 array holds the sorted flat positions
+    i * dim + j of the m entries of rho whose product is monomial k; the rows
+    are the m-multisets of range(dim^2) in lexicographic order.
+    """
+    rows = combinations_with_replacement(range(dim * dim), m)
+    pairs = np.fromiter(chain.from_iterable(rows), dtype=np.int64).reshape(-1, m)
+    pairs.flags.writeable = False
+    return pairs
+
+
+@lru_cache(maxsize=None)
 def monomial_table(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct entries of rho^(x m) for a dim x dim rho, as products of m entries.
 
-    Returns ``(pairs, index)``.  Row k of the (M, m) array ``pairs`` holds the
-    sorted flat positions i * dim + j of the m entries of rho whose product is
-    monomial k; ``index[I * dim**m + J]`` is the monomial of entry (I, J) of
-    the row-major Kronecker power.  Each entry's sorted pair codes are encoded
-    in base dim^2, which fits int64 because dim^(2m) <= DIM_CAP^2.
+    Returns ``(monomial_pairs(dim, m), index)``: ``index[I * dim**m + J]`` is
+    the monomial of entry (I, J) of the row-major Kronecker power.  Each
+    entry's sorted pair codes are encoded in base dim^2, which fits int64
+    because dim^(2m) <= DIM_CAP^2, so the sorted keys follow the rows of
+    ``monomial_pairs``.
     """
     d2 = dim * dim
     digits = np.indices((dim,) * (2 * m), dtype=np.int32).reshape(2 * m, -1)
     codes = np.sort((digits[:m] * dim + digits[m:]).T, axis=1)
     weights = d2 ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    keys, index = np.unique(codes @ weights, return_inverse=True)
-    pairs = keys[:, None] // weights % d2
-    return pairs, index
+    _, index = np.unique(codes @ weights, return_inverse=True)
+    return monomial_pairs(dim, m), index
 
 
 @dataclass(frozen=True)
@@ -103,7 +130,7 @@ def _chunk_stats(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     spec, m, seed, chunk_index, count = args
     gen = RandomStream(seed, chunk_index).generator()
     flat = sample_density_batch(spec, count, gen).reshape(count, -1)
-    pairs, _ = monomial_table(spec.dim, m)
+    pairs = monomial_pairs(spec.dim, m)
     power = flat[:, pairs[:, 0]]
     for k in range(1, m):
         power *= flat[:, pairs[:, k]]
@@ -136,6 +163,39 @@ def _tree_reduce(items):
     return items[0]
 
 
+#: This process's worker pool as (processes, pool, end), keyed by the pid that
+#: forked it.  ``end()`` terminates the pool once; as a multiprocessing
+#: finalizer it also runs at interpreter exit, ahead of the pool's own, so
+#: teardown finds no running pool.  A process forked from an owner inherits the
+#: owner's entry and leaves it alone: its threads, pipes and workers are the
+#: owner's, and even its last reference going would signal the owner's pool.
+_pools: dict[int, tuple[int, Pool, Finalize]] = {}
+
+
+def _end_pool(pid: int) -> None:
+    _pools.pop(pid)[2]()
+
+
+def _pool_map(jobs: list, processes: int) -> list:
+    """``_chunk_stats`` over ``jobs`` in this process's pool of ``processes``."""
+    pid = os.getpid()
+    if pid in _pools and _pools[pid][0] != processes:
+        _end_pool(pid)
+    if pid not in _pools:
+        # imported here, as the pool's own modules are, so that a process that
+        # never samples in parallel does not load them
+        from multiprocessing.util import Finalize
+
+        pool = multiprocessing.get_context("fork").Pool(processes)
+        _pools[pid] = (processes, pool, Finalize(pool, pool.terminate, exitpriority=16))
+    try:
+        return _pools[pid][1].map(_chunk_stats, jobs, chunksize=1)
+    except BaseException:
+        # a failed or interrupted map may leave tasks behind: start afresh
+        _end_pool(pid)
+        raise
+
+
 def default_workers() -> int:
     env = os.environ.get("RHOMEAN_WORKERS")
     if env:
@@ -163,15 +223,13 @@ def estimate_mean(
     if n_samples % size:
         counts.append(n_samples % size)
     jobs = [(spec, m, seed, i, c) for i, c in enumerate(counts)]
-    # built before the pool forks, so the workers inherit the cached table
     _, index = monomial_table(spec.dim, m)
 
-    if workers == 1 or len(jobs) == 1:
+    processes = min(workers, len(jobs))
+    if processes == 1:
         stats = [_chunk_stats(j) for j in jobs]
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-            stats = pool.map(_chunk_stats, jobs, chunksize=1)
+        stats = _pool_map(jobs, processes)
 
     n, mean, m2_re, m2_im = _tree_reduce(stats)
     shape = (scenario.dim, scenario.dim)

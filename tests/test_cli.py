@@ -345,11 +345,19 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-    monkeypatch.setenv("RHOMEAN_WORKERS", "abc")
-    assert main(["ks", "--m", "2", "--u", "0"]) == 0  # takes no --workers
-    with pytest.raises(SystemExit) as exc:
-        main(["mean", "--measure", '{"type":"bloch","u":-2}', "--m", "2", "--samples", "100"])
-    assert exc.value.code == 2
+    mean = ["mean", "--measure", '{"type":"bloch","u":-2}', "--m", "2", "--samples", "100"]
+    # a worker count below 1 is a usage error, caught before any process starts
+    for argv in (mean + ["--workers", "0"], mean + ["--workers", "-2"], ["verify", "--all", "--workers", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    for env in ("abc", "0"):
+        monkeypatch.setenv("RHOMEAN_WORKERS", env)
+        assert main(["ks", "--m", "2", "--u", "0"]) == 0  # takes no --workers
+        for argv in (mean, ["verify", "--all"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, (env, argv)
     monkeypatch.delenv("RHOMEAN_WORKERS")
     assert main(["sample", "--measure", '{"type":"zhsl"}']) == 1  # no "n"
     assert "'n'" in capsys.readouterr().err

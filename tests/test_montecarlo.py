@@ -1,12 +1,16 @@
 """Monte Carlo estimator: convergence, error bars, bitwise reproducibility."""
 
+import hashlib
+import multiprocessing
+import os
 from dataclasses import replace
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import numpy as np
 import pytest
 
+from rhomean import montecarlo
 from rhomean.fixtures import get_fixture
 from rhomean.measures import (
     BlochBallMeasure,
@@ -16,9 +20,11 @@ from rhomean.measures import (
     sample_density_batch,
 )
 from rhomean.montecarlo import (
+    _chunk_stats,
     chunk_size_for,
     convergence_report,
     estimate_mean,
+    monomial_pairs,
     monomial_table,
     scenario_for,
 )
@@ -129,12 +135,118 @@ def test_monomial_table_counts_distinct_entries(dim, m, expected):
     assert pairs.shape == (expected, m) == (comb(dim * dim + m - 1, m), m)
     assert index.shape == (dim ** (2 * m),)
     assert np.all(np.diff(pairs, axis=1) >= 0)
+    # the pool's chunks read monomial_pairs alone, so it must be the table's
+    # order: the m-multisets of the flat positions, lexicographically
+    assert np.array_equal(monomial_pairs(dim, m), pairs)
+    rows = pairs.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert rows == [list(c) for c in combinations_with_replacement(range(dim * dim), m)]
     # every monomial is some entry of the power, and entry (I, J) multiplies
     # rho[i_k, j_k] over the slots k
     assert set(index.tolist()) == set(range(expected))
     rho = np.arange(1, dim * dim + 1, dtype=float).reshape(dim, dim) / (dim * dim)
     products = np.prod(rho.reshape(-1)[pairs], axis=1)
     assert np.allclose(products[index].reshape(dim**m, dim**m), tensor_power(rho, m))
+
+
+def _assert_same_estimate(a, b):
+    for field in ("mean", "stderr", "stderr_real", "stderr_imag"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def _children() -> list[int]:
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+@pytest.fixture
+def fresh_pool():
+    """No pool and no cached monomials, so the next pooled call forks one and
+    its workers inherit only the table that call builds first."""
+    if os.getpid() in montecarlo._pools:
+        montecarlo._end_pool(os.getpid())
+    monomial_pairs.cache_clear()
+    monomial_table.cache_clear()
+
+
+def test_pool_is_forked_once_and_reused(fresh_pool):
+    # the second (dim, m) is first seen after the pool's workers are forked
+    children = []
+    for spec, m in ((HaarDirichletMeasure(n=2), 2), (HaarDirichletMeasure(n=3), 3)):
+        assert 2 * chunk_size_for(scenario_for(spec, m).dim) < 20_000  # two workers busy
+        one = estimate_mean(spec, m, 20_000, seed=17, workers=1)
+        _assert_same_estimate(one, estimate_mean(spec, m, 20_000, seed=17, workers=2))
+        children.append(_children())
+    assert len(children[0]) == 2
+    assert children[1] == children[0]
+
+
+def test_pool_is_replaced_when_its_size_changes(fresh_pool):
+    spec = HaarDirichletMeasure(n=2)  # 4 chunks
+    one = estimate_mean(spec, 2, 30_000, seed=19, workers=1)
+    before: set[int] = set()
+    for workers in (2, 3, 2):
+        _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=19, workers=workers))
+        alive = set(_children())
+        assert len(alive) == workers and not alive & before, workers
+        before = alive
+
+
+def _failing_chunk(args):
+    if args[3] == 1:
+        raise RuntimeError(f"chunk 1 failed in process {os.getpid()}")
+    return _chunk_stats(args)
+
+
+def test_failed_chunk_surfaces_and_the_next_call_forks_afresh(fresh_pool, monkeypatch):
+    spec = HaarDirichletMeasure(n=2)
+    one = estimate_mean(spec, 2, 30_000, seed=20, workers=1)
+    _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=20, workers=2))
+    failed_pool = set(_children())
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_chunk_stats", _failing_chunk)
+        with pytest.raises(RuntimeError, match="chunk 1 failed in process") as exc:
+            estimate_mean(spec, 2, 30_000, seed=20, workers=2)
+    assert str(exc.value) != f"chunk 1 failed in process {os.getpid()}"  # raised in a worker
+    assert os.getpid() not in montecarlo._pools
+    assert _children() == []
+    _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=20, workers=2))
+    assert len(_children()) == 2 and not set(_children()) & failed_pool
+
+
+def _estimate_digest(est) -> str:
+    h = hashlib.sha256()
+    for field in (est.mean, est.stderr_real, est.stderr_imag):
+        h.update(np.ascontiguousarray(field).tobytes())
+    return h.hexdigest()
+
+
+def _estimate_in_child(conn):
+    est = estimate_mean(HaarDirichletMeasure(n=3), 2, 20_000, seed=21, workers=2)
+    conn.send((_estimate_digest(est), len(multiprocessing.active_children())))
+    conn.close()
+
+
+def test_forked_process_forks_a_pool_of_its_own():
+    est = estimate_mean(HaarDirichletMeasure(n=3), 2, 20_000, seed=21, workers=2)
+    parent_pool = _children()
+    assert len(parent_pool) == 2
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_estimate_in_child, args=(send,))
+    proc.start()
+    send.close()
+    # the answer is a few bytes, so the child never blocks on the pipe
+    proc.join(60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == 0 and recv.poll(0)
+    assert recv.recv() == (_estimate_digest(est), 2)
+    # the child left the parent's pool alone, and it still serves the parent
+    assert _children() == parent_pool
+    again = estimate_mean(HaarDirichletMeasure(n=3), 2, 20_000, seed=21, workers=2)
+    assert _estimate_digest(again) == _estimate_digest(est)
+    assert _children() == parent_pool
 
 
 def _dense_reference(spec, m, n_samples, seed):
