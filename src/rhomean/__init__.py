@@ -56,7 +56,6 @@ from .spectral import (
     SymbolicMatrix,
     cluster_spectrum,
     eigenvector_check,
-    entry_model_fit,
     selection_rule,
     subspace_distance,
     substitute_v,

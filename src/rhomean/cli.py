@@ -15,11 +15,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import jsonio, verify
-from .families import bloch_family_eigenvalue, bloch_family_eigenvalue_exact, spin_multiplicity
+from .families import bloch_family_eigenvalue_exact, spin_multiplicity
 from .fixtures import get_fixture
 from .linalg import Scenario, hermitian_eig
 from .measures import RandomStream, sample_density
-from .montecarlo import default_workers, estimate_mean
+from .montecarlo import estimate_mean
 from .oracle import composite_haar_mean, haar_mean
 from .spectral import SymbolicMatrix, cluster_spectrum, selection_rule, substitute_v
 
@@ -63,7 +63,7 @@ def _emit(obj: dict, out: str | None) -> None:
 
 def cmd_sample(args) -> int:
     spec = jsonio.parse_measure_arg(args.measure)
-    rho = sample_density(spec, RandomStream(args.seed, args.stream), validate=True)
+    rho = sample_density(spec, RandomStream(args.seed, args.stream))
     _emit(jsonio.complex_matrix_to_json(rho), args.out)
     return 0
 
@@ -123,23 +123,12 @@ def cmd_subst_v(args) -> int:
 
 def cmd_ks(args) -> int:
     rows = []
-    try:
-        u = Fraction(args.u)
-        exact = True
-    except ValueError:
-        u = float(args.u)
-        exact = False
     ds = [args.d] if args.d is not None else list(range(args.m // 2 + 1))
     for d in ds:
         mult = spin_multiplicity(args.m, d)
-        if exact:
-            val = bloch_family_eigenvalue_exact(args.m, d, u)
-            rows.append({"d": d, "eigenvalue": str(val), "multiplicity": mult})
-            print(f"d={d}  lambda={val}  multiplicity={mult}")
-        else:
-            val = bloch_family_eigenvalue(args.m, d, u)
-            rows.append({"d": d, "eigenvalue": val, "multiplicity": mult})
-            print(f"d={d}  lambda={val:.12g}  multiplicity={mult}")
+        val = bloch_family_eigenvalue_exact(args.m, d, args.u)
+        rows.append({"d": d, "eigenvalue": str(val), "multiplicity": mult})
+        print(f"d={d}  lambda={val}  multiplicity={mult}")
     if args.out:
         jsonio.dump_json({"m": args.m, "u": str(args.u), "rows": rows}, args.out)
     return 0
@@ -170,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # argparse applies ``type`` to a string default, so a malformed
     # RHOMEAN_WORKERS is reported as a usage error
-    workers_default = os.environ.get("RHOMEAN_WORKERS") or default_workers()
+    workers_default = os.environ.get("RHOMEAN_WORKERS") or os.cpu_count() or 1
 
     p = sub.add_parser("sample", help="draw one random density matrix")
     p.add_argument("--measure", required=True, help="measure JSON (inline or file path)")
@@ -216,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ks", help="two-level family eigenvalue/multiplicity table")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--u", required=True)
+    p.add_argument("--u", type=Fraction, required=True, help="family exponent (rational)")
     p.add_argument("--d", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ks)

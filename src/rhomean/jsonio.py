@@ -145,8 +145,8 @@ def matrix_kind(obj: dict) -> str:
     return "complex"
 
 
-def any_matrix_to_float(obj: dict, v: float | None = None) -> np.ndarray:
-    """Load any matrix schema as a float/complex array (symbolic at pi or v)."""
+def any_matrix_to_float(obj: dict) -> np.ndarray:
+    """Load any matrix schema as a float/complex array (symbolic at pi)."""
     kind = matrix_kind(obj)
     if kind == "complex":
         return complex_matrix_from_json(obj)
@@ -154,7 +154,7 @@ def any_matrix_to_float(obj: dict, v: float | None = None) -> np.ndarray:
         # float() of each distinct Fraction; no Fraction matrix is built
         values, labels = _labelled_rationals(*_check_entry_count(obj))
         return _gather([float(x) for x in values], labels, np.float64)
-    return substitute_v(symbolic_matrix_from_json(obj), math.pi if v is None else v)
+    return substitute_v(symbolic_matrix_from_json(obj), math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -41,27 +41,23 @@ class Scenario:
     def dim(self) -> int:
         return self.base_dim**self.power
 
-    def check_cap(self, cap: int = DIM_CAP) -> None:
-        if self.dim > cap:
-            raise ValueError(f"total dimension {self.dim} exceeds cap {cap}")
+
+def check_dim_cap(dim: int) -> None:
+    if dim > DIM_CAP:
+        raise ValueError(f"dimension {dim} exceeds cap {DIM_CAP}")
 
 
-def check_dim_cap(dim: int, cap: int = DIM_CAP) -> None:
-    if dim > cap:
-        raise ValueError(f"dimension {dim} exceeds cap {cap}")
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
+def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the row-major index convention."""
-    check_dim_cap(a.shape[0] * b.shape[0], cap)
+    check_dim_cap(a.shape[0] * b.shape[0])
     return np.kron(a, b)
 
 
-def tensor_power(rho: np.ndarray, m: int, cap: int = DIM_CAP) -> np.ndarray:
+def tensor_power(rho: np.ndarray, m: int) -> np.ndarray:
     """m-fold tensor power rho^(x m)."""
     if m < 1:
         raise ValueError("tensor power requires m >= 1")
-    check_dim_cap(rho.shape[0] ** m, cap)
+    check_dim_cap(rho.shape[0] ** m)
     out = rho
     for _ in range(m - 1):
         out = np.kron(out, rho)
@@ -138,7 +134,7 @@ def permutation_rows(sigma: tuple[int, ...], n: int) -> np.ndarray:
     return (n ** (m - 1 - np.asarray(sigma))) @ digits
 
 
-def permutation_operator(sigma: tuple[int, ...], n: int, m: int, cap: int = DIM_CAP) -> np.ndarray:
+def permutation_operator(sigma: tuple[int, ...], n: int, m: int) -> np.ndarray:
     """Matrix of the tensor-slot permutation sigma (0-based images) on (C^n)^(x m).
 
     Sends e_{i_1} x ... x e_{i_m} to the basis vector whose sigma(k)-th slot
@@ -147,7 +143,7 @@ def permutation_operator(sigma: tuple[int, ...], n: int, m: int, cap: int = DIM_
     if sorted(sigma) != list(range(m)):
         raise ValueError("sigma must be a permutation of range(m)")
     d = n**m
-    check_dim_cap(d, cap)
+    check_dim_cap(d)
     op = np.zeros((d, d))
     op[permutation_rows(sigma, n), np.arange(d)] = 1.0
     return op

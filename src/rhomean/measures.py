@@ -240,8 +240,7 @@ def sample_density_batch(spec: MeasureSpec, size: int, gen) -> np.ndarray:
     raise TypeError(f"unknown measure spec {spec!r}")
 
 
-def sample_density(spec: MeasureSpec, rng, validate: bool = False) -> np.ndarray:
+def sample_density(spec: MeasureSpec, rng) -> np.ndarray:
     rho = sample_density_batch(spec, 1, _as_generator(rng))[0]
-    if validate:
-        validate_density_matrix(rho)
+    validate_density_matrix(rho)
     return rho

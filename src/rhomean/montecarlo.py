@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import DIM_CAP, Scenario, check_dim_cap
+from .linalg import Scenario, check_dim_cap
 from .measures import (
     MeasureSpec,
     ProductMeasure,
@@ -196,27 +196,20 @@ def _pool_map(jobs: list, processes: int) -> list:
         raise
 
 
-def default_workers() -> int:
-    env = os.environ.get("RHOMEAN_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def estimate_mean(
     spec: MeasureSpec,
     m: int,
     n_samples: int,
     seed: int = 0,
     workers: int = 1,
-    cap: int = DIM_CAP,
 ) -> MeanEstimate:
     """Unbiased sample mean of rho^(x m) with deterministic chunked reduction."""
     scenario = scenario_for(spec, m)
-    check_dim_cap(scenario.dim, cap)
+    check_dim_cap(scenario.dim)
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    workers = max(1, workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     size = chunk_size_for(scenario.dim)
     counts = [size] * (n_samples // size)

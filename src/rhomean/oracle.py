@@ -36,7 +36,6 @@ from math import factorial
 import numpy as np
 
 from .linalg import (
-    DIM_CAP,
     Scenario,
     check_dim_cap,
     distinct_entries,
@@ -248,9 +247,7 @@ def _irreps(n: int, m: int) -> list[tuple[int, int, list[Fraction]]]:
     return out
 
 
-def haar_mean(
-    n: int, m: int, q: QLike = 0, cap: int = DIM_CAP
-) -> OracleResult:
+def haar_mean(n: int, m: int, q: QLike = 0) -> OracleResult:
     """Exact E[rho^(x m)] for N x N states with Haar eigenvectors, Dirichlet spectrum.
 
     ``q`` is the common simplex exponent (q = 0 is the uniform simplex) or a
@@ -262,8 +259,7 @@ def haar_mean(
         raise ValueError("power m must be >= 1")
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    d = n**m
-    check_dim_cap(d, cap)
+    check_dim_cap(n**m)
     qs = _as_q_vector(n, q)
     types = sorted(partitions(m))
     moments = [power_sum_moment(n, qs, ct) for ct in types]
@@ -323,9 +319,7 @@ def labelled_kron(a: Labelled, b: Labelled) -> Labelled:
     return values, labels.reshape(ia.shape[0] * ib.shape[0], ia.shape[1] * ib.shape[1])
 
 
-def composite_haar_mean(
-    scenario: Scenario, qs: list[QLike] | None = None, cap: int = DIM_CAP
-) -> OracleResult:
+def composite_haar_mean(scenario: Scenario, qs: list[QLike] | None = None) -> OracleResult:
     """Exact mean of (rho_1 x ... x rho_k)^(x m) for independent factors.
 
     Independence factorizes the mean into the tensor product of per-factor
@@ -333,15 +327,13 @@ def composite_haar_mean(
     (A_1..A_m, B_1..B_m, ...) to power-major order ((A_1 B_1..), (A_2 B_2..)).
     Both steps run on the factors' integer labels (see ``labelled_kron``).
     """
-    scenario.check_cap(cap)
+    check_dim_cap(scenario.dim)
     if qs is None:
         qs = [0] * len(scenario.factors)
     if len(qs) != len(scenario.factors):
         raise ValueError("one Dirichlet parameter (set) per factor required")
     m = scenario.power
-    factor_results = [
-        haar_mean(n, m, q, cap=cap) for n, q in zip(scenario.factors, qs)
-    ]
+    factor_results = [haar_mean(n, m, q) for n, q in zip(scenario.factors, qs)]
     values, labels = reduce(labelled_kron, [fr.labelled for fr in factor_results])
     k = len(scenario.factors)
     # factor-major subsystem list: factor i repeated over power slots

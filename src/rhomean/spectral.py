@@ -1,4 +1,4 @@
-"""Degenerate-eigenspace analysis and the rational + 1/pi entry model.
+"""Degenerate-eigenspace analysis of matrices with rational + 1/pi entries.
 
 The published mean matrices for three-level systems carry entries of the form
 r + s/pi with r, s rational.  ``SymbolicMatrix`` stores both parts exactly;
@@ -16,8 +16,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-
-from .montecarlo import MeanEstimate
 
 
 class SymbolicEntry(NamedTuple):
@@ -43,10 +41,6 @@ class SymbolicEigenvalue:
 
     def value(self, v: float = math.pi) -> float:
         return float(self.r) + float(self.coef) * math.sqrt(self.radicand) / v
-
-    @property
-    def is_rational(self) -> bool:
-        return self.coef == 0
 
 
 @dataclass(frozen=True)
@@ -206,93 +200,3 @@ def eigenvector_check(
     if tol is not None and residual > tol:
         raise ValueError(f"residual {residual:.3e} exceeds tolerance {tol:.1e}")
     return residual
-
-
-# ---------------------------------------------------------------------------
-# entry model reconstruction: float + stderr  ->  r + s/pi
-# ---------------------------------------------------------------------------
-
-
-def farey_neighbors(fr: Fraction, max_denominator: int) -> tuple[Fraction, Fraction]:
-    """Left and right neighbors of ``fr`` in the Farey sequence of the given order.
-
-    These are the closest distinct rationals with denominator <= the bound,
-    which makes them exactly the competitors a reconstruction must reject.
-    """
-    p, q = fr.numerator, fr.denominator
-    if q > max_denominator:
-        raise ValueError("fraction exceeds the requested Farey order")
-    if q == 1:
-        step = Fraction(1, max_denominator)
-        return fr - step, fr + step
-    # right neighbor r/s: p*s - r*q = -1 with the largest s <= max_denominator
-    s = (-pow(p, -1, q)) % q
-    s += ((max_denominator - s) // q) * q
-    right = Fraction(p * s + 1, q * s)
-    s = pow(p, -1, q) % q
-    s += ((max_denominator - s) // q) * q
-    left = Fraction(p * s - 1, q * s)
-    return left, right
-
-
-def reconstruct_rational(
-    x: float, sigma: float, max_denominator: int
-) -> Fraction | None:
-    """Best rational p/q (q <= max_denominator) for x, or None when ambiguous.
-
-    Succeeds only when the candidate sits within 3 sigma of x while both Farey
-    neighbors are rejected by more than 10 sigma.
-    """
-    best = Fraction(x).limit_denominator(max_denominator)
-    if abs(x - float(best)) > 3 * sigma:
-        return None
-    left, right = farey_neighbors(best, max_denominator)
-    if min(abs(x - float(left)), abs(x - float(right))) <= 10 * sigma:
-        return None
-    return best
-
-
-@dataclass(frozen=True)
-class EntryModelFit:
-    symbolic: SymbolicMatrix
-    status: np.ndarray  # object array: "rational" | "pi" | "unresolved"
-    n_unresolved: int
-
-    def unresolved_positions(self) -> list[tuple[int, int]]:
-        return [tuple(idx) for idx in np.argwhere(self.status == "unresolved")]
-
-
-def entry_model_fit(est: MeanEstimate, max_denominator: int = 2000) -> EntryModelFit:
-    """Per-entry reconstruction of r + s/pi from a Monte Carlo estimate.
-
-    Each real part is tried first as a plain rational, then as rational/pi;
-    entries whose uncertainty cannot discriminate between nearby candidates
-    (or with significant imaginary part) are marked unresolved.  The stderr
-    floor keeps exact inputs (stderr 0) workable.
-    """
-    dim = est.mean.shape[0]
-    rp = np.full((dim, dim), Fraction(0), dtype=object)
-    sp = np.full((dim, dim), Fraction(0), dtype=object)
-    status = np.full((dim, dim), "unresolved", dtype=object)
-    n_unresolved = 0
-    for i in range(dim):
-        for j in range(dim):
-            x = float(est.mean[i, j].real)
-            sigma = max(float(est.stderr[i, j]), 8e-16 * max(1.0, abs(x)))
-            if abs(est.mean[i, j].imag) > 3 * sigma:
-                n_unresolved += 1
-                continue
-            r = reconstruct_rational(x, sigma, max_denominator)
-            if r is not None:
-                rp[i, j] = r
-                status[i, j] = "rational"
-                continue
-            s = reconstruct_rational(x * math.pi, sigma * math.pi, max_denominator)
-            if s is not None:
-                sp[i, j] = s
-                status[i, j] = "pi"
-                continue
-            n_unresolved += 1
-    return EntryModelFit(
-        symbolic=SymbolicMatrix(rp, sp), status=status, n_unresolved=n_unresolved
-    )

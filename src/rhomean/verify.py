@@ -74,6 +74,10 @@ def _gate(case: str, ok: bool, notes: str, **kw) -> Report:
     return Report(case=case, status="PASS" if ok else "FAIL", gated=True, notes=notes, **kw)
 
 
+def _report(case: str, ok: bool, notes: str, **kw) -> Report:
+    return Report(case=case, status="REPORT" if ok else "FAIL", gated=False, notes=notes, **kw)
+
+
 def _fractions_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool(np.all(a == b))
 
@@ -127,7 +131,7 @@ def case_n5m2_diag(budget: Budget) -> Report:
     return _gate("n5m2.diag", ok, "leading diagonal entries of the 25x25 mean")
 
 
-def _limit_case(case: str, fixture_id: str, n: int, m: int) -> Report:
+def _limit_case(budget: Budget, case: str, fixture_id: str, n: int, m: int) -> Report:
     fix = fixtures.get_fixture(fixture_id)
     result = haar_mean(n, m, 0)
     rational = selection_rule(fix.matrix)
@@ -142,14 +146,6 @@ def _limit_case(case: str, fixture_id: str, n: int, m: int) -> Report:
     dec = cluster_spectrum(vals, vecs, 1e-9)
     ok = ok and sorted(dec.multiplicities) == sorted(k for _, k in want)
     return _gate(case, ok, "annihilating the 1/pi entries reproduces the invariant mean")
-
-
-def case_n3m2_limit(budget: Budget) -> Report:
-    return _limit_case("n3m2.limit", "n3m2", 3, 2)
-
-
-def case_n3m3_limit(budget: Budget) -> Report:
-    return _limit_case("n3m3.limit", "n3m3.partial", 3, 3)
 
 
 def case_n6m2_limit(budget: Budget) -> Report:
@@ -390,42 +386,29 @@ def case_poly_n3m3(budget: Budget) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _estimate(budget: Budget, spec, m: int, default: int, workers: int | None = None):
+    """The case's estimate at ``budget``; ``default`` samples unless overridden."""
+    workers = budget.workers if workers is None else workers
+    return estimate_mean(spec, m, budget.n(default), seed=budget.seed, workers=workers)
+
+
 def case_mc_m1(budget: Budget) -> Report:
     ok = True
     worst = 0.0
     for n in (2, 3):
-        est = estimate_mean(
-            HaarDirichletMeasure(n=n), 1, budget.n(100_000), seed=budget.seed, workers=budget.workers
-        )
+        est = _estimate(budget, HaarDirichletMeasure(n=n), 1, 100_000)
         rep = convergence_report(est, np.eye(n) / n)
         ok = ok and rep.max_z <= 5
         worst = max(worst, rep.max_z)
     return _gate("mc.m1", ok, "single-power means converge to the fully mixed state", max_z=worst)
 
 
-def case_mc_n2m2(budget: Budget) -> Report:
-    est = estimate_mean(
-        HaarDirichletMeasure(n=2), 2, budget.n(1_000_000), seed=budget.seed, workers=budget.workers
-    )
-    rep = convergence_report(est, haar_mean(2, 2, 0).mean_float())
-    ok = rep.max_z <= 5 and rep.max_abs_delta <= 3e-3
+def case_mc_m2(budget: Budget, n: int, default: int, max_delta: float = math.inf) -> Report:
+    est = _estimate(budget, HaarDirichletMeasure(n=n), 2, default)
+    rep = convergence_report(est, haar_mean(n, 2, 0).mean_float())
     return _gate(
-        "mc.n2m2",
-        ok,
-        f"{est.n_samples} samples vs exact mean",
-        max_z=rep.max_z,
-        max_abs_delta=rep.max_abs_delta,
-    )
-
-
-def case_mc_n3m2(budget: Budget) -> Report:
-    est = estimate_mean(
-        HaarDirichletMeasure(n=3), 2, budget.n(200_000), seed=budget.seed, workers=budget.workers
-    )
-    rep = convergence_report(est, haar_mean(3, 2, 0).mean_float())
-    return _gate(
-        "mc.n3m2",
-        rep.max_z <= 5,
+        f"mc.n{n}m2",
+        rep.max_z <= 5 and rep.max_abs_delta <= max_delta,
         f"{est.n_samples} samples vs exact mean",
         max_z=rep.max_z,
         max_abs_delta=rep.max_abs_delta,
@@ -434,9 +417,7 @@ def case_mc_n3m2(budget: Budget) -> Report:
 
 def case_mc_determinism(budget: Budget) -> Report:
     spec = HaarDirichletMeasure(n=2)
-    a = estimate_mean(spec, 2, budget.n(20_000), seed=budget.seed, workers=1)
-    b = estimate_mean(spec, 2, budget.n(20_000), seed=budget.seed, workers=1)
-    c = estimate_mean(spec, 2, budget.n(20_000), seed=budget.seed, workers=2)
+    a, b, c = (_estimate(budget, spec, 2, 20_000, workers=w) for w in (1, 1, 2))
     ok = (
         np.array_equal(a.mean, b.mean)
         and np.array_equal(a.stderr, b.stderr)
@@ -457,13 +438,7 @@ def case_eigenspaces_bloch(budget: Budget) -> Report:
     worst_dist = 0.0
     notes = []
     for m in (2, 3, 4):
-        est = estimate_mean(
-            BlochBallMeasure(u=-2.0),
-            m,
-            budget.n(1_000_000),
-            seed=budget.seed,
-            workers=budget.workers,
-        )
+        est = _estimate(budget, BlochBallMeasure(u=-2.0), m, 1_000_000)
         vals, vecs = hermitian_eig(est.mean, tol=max(1e-10, 10 * est.stderr_max))
         dec = cluster_spectrum(vals, vecs, cluster_tol=10 * est.stderr_max)
         oracle = haar_mean(2, m, 0)
@@ -508,9 +483,7 @@ def case_report_n3m2_pi(budget: Budget) -> Report:
     counts the Monte Carlo mean resolves this and rejects the 1/pi entries.
     """
     fix = fixtures.get_fixture("n3m2")
-    est = estimate_mean(
-        HaarDirichletMeasure(n=3), 2, budget.n(200_000), seed=budget.seed, workers=budget.workers
-    )
+    est = _estimate(budget, HaarDirichletMeasure(n=3), 2, 200_000)
     rep_fixture = convergence_report(est, substitute_v(fix.matrix, math.pi))
     rep_oracle = convergence_report(est, haar_mean(3, 2, 0).mean_float())
     pi_cells = int((fix.matrix.spart != 0).sum())
@@ -521,13 +494,12 @@ def case_report_n3m2_pi(budget: Budget) -> Report:
         "is exactly Haar, so the 1/pi structure is a property of the published "
         "angular parameterization, not of the invariant average"
     )
-    return Report(
-        case="report.n3m2.pi",
-        status="REPORT",
-        gated=False,
+    return _report(
+        "report.n3m2.pi",
+        True,
+        notes,
         max_z=rep_fixture.max_z,
         max_abs_delta=rep_fixture.max_abs_delta,
-        notes=notes,
     )
 
 
@@ -548,14 +520,7 @@ def case_report_n4m2_split(budget: Budget) -> Report:
         f"(= 10 x 7/100: {sym_total == spec_o[1][0] * 10}); "
         f"max entry deviation from the invariant mean {max_dev:.3e}"
     )
-    status = "REPORT" if sextet_match else "FAIL"
-    return Report(
-        case="report.n4m2.split",
-        status=status,
-        gated=False,
-        max_abs_delta=max_dev,
-        notes=notes,
-    )
+    return _report("report.n4m2.split", sextet_match, notes, max_abs_delta=max_dev)
 
 
 def case_report_n12_limit(budget: Budget) -> Report:
@@ -572,12 +537,7 @@ def case_report_n12_limit(budget: Budget) -> Report:
         "inconsistent with the product-measure factorization that the 36-dim "
         "scenario obeys -- documented, not adjudicated"
     )
-    return Report(
-        case="report.n12.limit",
-        status="REPORT" if orderings_agree else "FAIL",
-        gated=False,
-        notes=notes,
-    )
+    return _report("report.n12.limit", orderings_agree, notes)
 
 
 def case_report_n3m4_diag(budget: Budget) -> Report:
@@ -595,12 +555,7 @@ def case_report_n3m4_diag(budget: Budget) -> Report:
         f"the published 1/pi cells sit where the invariant mean is exactly zero: "
         f"{oracle_zero}"
     )
-    return Report(
-        case="report.n3m4.diag",
-        status="REPORT" if diag_match else "FAIL",
-        gated=False,
-        notes=notes,
-    )
+    return _report("report.n3m4.diag", diag_match, notes)
 
 
 def case_report_n4m3(budget: Budget) -> Report:
@@ -616,12 +571,7 @@ def case_report_n4m3(budget: Budget) -> Report:
             pub = formula(q)
             ora = mean[i - 1, j - 1]
             lines.append(f"({i},{j}) q={q}: published {pub} vs invariant {ora} match={pub == ora}")
-    return Report(
-        case="report.n4m3",
-        status="REPORT",
-        gated=False,
-        notes="; ".join(lines),
-    )
+    return _report("report.n4m3", True, "; ".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +582,8 @@ CASES = {
     "n2m2.exact": case_n2m2_exact,
     "n2.spectra": case_n2_spectra,
     "n5m2.diag": case_n5m2_diag,
-    "n3m2.limit": case_n3m2_limit,
-    "n3m3.limit": case_n3m3_limit,
+    "n3m2.limit": partial(_limit_case, case="n3m2.limit", fixture_id="n3m2", n=3, m=2),
+    "n3m3.limit": partial(_limit_case, case="n3m3.limit", fixture_id="n3m3.partial", n=3, m=3),
     "n6m2.limit": case_n6m2_limit,
     "n6m2.full": case_n6m2_full,
     "n12.232.vs.322": case_n12_232_vs_322,
@@ -649,8 +599,8 @@ CASES = {
     "vectors.n3m3": case_vectors_n3m3,
     "poly.n3m3": case_poly_n3m3,
     "mc.m1": case_mc_m1,
-    "mc.n2m2": case_mc_n2m2,
-    "mc.n3m2": case_mc_n3m2,
+    "mc.n2m2": partial(case_mc_m2, n=2, default=1_000_000, max_delta=3e-3),
+    "mc.n3m2": partial(case_mc_m2, n=3, default=200_000),
     "mc.determinism": case_mc_determinism,
     "eigenspaces.bloch": case_eigenspaces_bloch,
     "report.n3m2.pi": case_report_n3m2_pi,

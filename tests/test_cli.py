@@ -341,6 +341,9 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
         ["oracle", "--n", "2", "--m", "0"],
         ["oracle", "--n", "2x", "--m", "2"],
         ["oracle", "--n", "2", "--m", "2", "--q", "x"],
+        # the family exponent is exact: inf and nan are not rationals
+        ["ks", "--m", "2", "--u=-inf"],
+        ["ks", "--m", "2", "--u=nan"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -11,6 +11,7 @@ from rhomean.fixtures import get_fixture
 from rhomean.linalg import (
     Scenario,
     bloch_density,
+    check_dim_cap,
     hermitian_eig,
     partial_trace,
     permutation_operator,
@@ -56,6 +57,8 @@ def test_tensor_power_cap():
         tensor_power(np.eye(2) / 2, 13)  # 2^13 = 8192 > 4096
     with pytest.raises(ValueError):
         tensor_power(np.eye(2) / 2, 0)
+    with pytest.raises(ValueError):
+        permutation_operator(tuple(range(13)), 2, 13)  # 2^13 = 8192 > 4096
 
 
 def test_partial_trace_of_fixture():
@@ -188,4 +191,4 @@ def test_scenario():
     with pytest.raises(ValueError):
         Scenario(factors=(2,), power=0)
     with pytest.raises(ValueError):
-        Scenario(factors=(8,), power=5).check_cap()
+        check_dim_cap(Scenario(factors=(8,), power=5).dim)

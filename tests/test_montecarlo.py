@@ -353,10 +353,12 @@ def test_sample_count_validation():
         estimate_mean(HaarDirichletMeasure(n=2), 13, 1_000)
 
 
-def test_default_workers_env_override(monkeypatch):
-    from rhomean.montecarlo import default_workers
+def test_workers_env_default_and_worker_count_validation(monkeypatch):
+    from rhomean.cli import build_parser
 
+    # the CLI is the one reader of RHOMEAN_WORKERS; the library takes a count
     monkeypatch.setenv("RHOMEAN_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.delenv("RHOMEAN_WORKERS")
-    assert default_workers() >= 1
+    argv = ["mean", "--measure", '{"type":"zhsl","n":2}', "--m", "2", "--samples", "100"]
+    assert build_parser().parse_args(argv).workers == 3
+    with pytest.raises(ValueError):
+        estimate_mean(HaarDirichletMeasure(n=2), 2, 1_000, workers=0)

@@ -344,3 +344,5 @@ def test_haar_mean_input_validation():
         haar_mean(2, 2, 1)
     with pytest.raises(ValueError):
         haar_mean(2, 13, 0)  # exceeds the dimension cap
+    with pytest.raises(ValueError):
+        composite_haar_mean(Scenario((2, 3), 5))  # 6^5 = 7776 exceeds it too

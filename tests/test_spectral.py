@@ -1,4 +1,4 @@
-"""Symbolic matrices, eigenspace clustering and rational reconstruction."""
+"""Symbolic matrices and eigenspace clustering."""
 
 import math
 from fractions import Fraction as F
@@ -9,18 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhomean.fixtures import get_fixture
-from rhomean.linalg import Scenario, hermitian_eig
-from rhomean.measures import HaarDirichletMeasure
-from rhomean.montecarlo import MeanEstimate, estimate_mean
+from rhomean.linalg import hermitian_eig
+from rhomean.montecarlo import estimate_mean
 from rhomean.oracle import haar_mean
 from rhomean.spectral import (
     SymbolicEntry,
     SymbolicMatrix,
     cluster_spectrum,
     eigenvector_check,
-    entry_model_fit,
-    farey_neighbors,
-    reconstruct_rational,
     selection_rule,
     subspace_distance,
     substitute_v,
@@ -138,26 +134,6 @@ def test_eigenvector_check():
         eigenvector_check(mat, np.array([1, 0]), 1.0)
 
 
-def test_farey_neighbors():
-    left, right = farey_neighbors(F(5, 18), 1000)
-    assert left < F(5, 18) < right
-    assert left.denominator <= 1000 and right.denominator <= 1000
-    # adjacency: |p s - r q| = 1
-    assert abs(left.numerator * 18 - 5 * left.denominator) == 1
-    assert abs(right.numerator * 18 - 5 * right.denominator) == 1
-    left, right = farey_neighbors(F(0), 1000)
-    assert (left, right) == (F(-1, 1000), F(1, 1000))
-
-
-def test_reconstruct_rational():
-    x = float(F(5, 18)) + 1e-9
-    assert reconstruct_rational(x, 1e-9, 1000) == F(5, 18)
-    # ambiguous when sigma is comparable to the Farey gap
-    assert reconstruct_rational(x, 1e-2, 1000) is None
-    # far from every simple rational at tiny sigma
-    assert reconstruct_rational(0.2771828, 1e-12, 1000) is None
-
-
 @pytest.mark.parametrize("u", [-2.0, 0.3])
 def test_spherically_symmetric_families_share_eigenspaces(u):
     from rhomean.measures import BlochBallMeasure
@@ -171,61 +147,3 @@ def test_spherically_symmetric_families_share_eigenspaces(u):
     assert dec.multiplicities == dec_o.multiplicities == (1, 3)
     for cl, cl_o in zip(dec.clusters, dec_o.clusters):
         assert subspace_distance(cl.basis, cl_o.basis) <= 0.05
-
-
-def _estimate_from_matrix(mat, stderr):
-    mat = np.asarray(mat, dtype=complex)
-    err = np.full(mat.shape, float(stderr))
-    return MeanEstimate(
-        mean=mat,
-        n_samples=10**6,
-        stderr=err,
-        stderr_real=err,
-        stderr_imag=err,
-        measure=HaarDirichletMeasure(n=2),
-        scenario=Scenario(factors=(2,), power=2),
-        seed=0,
-        workers=1,
-    )
-
-
-def test_entry_model_fit_exact_oracle_floats():
-    mean = haar_mean(2, 2, 0).mean_float()
-    fit = entry_model_fit(_estimate_from_matrix(mean, 0.0), max_denominator=100)
-    assert fit.n_unresolved == 0
-    assert np.all(fit.status == "rational")
-    assert np.all(fit.symbolic.rpart == haar_mean(2, 2, 0).mean)
-    assert np.all(fit.symbolic.spart == F(0))
-
-
-def test_entry_model_fit_recovers_noisy_fixture():
-    rng = np.random.default_rng(42)
-    mean = get_fixture("n2m2").matrix.rpart.astype(float)
-    noisy = mean + rng.normal(0, 1e-9, mean.shape)
-    fit = entry_model_fit(_estimate_from_matrix(noisy, 1e-9), max_denominator=100)
-    assert fit.n_unresolved == 0
-    recovered = set(fit.symbolic.rpart.ravel())
-    assert recovered == {F(5, 18), F(2, 9), F(1, 18), F(0)}
-    assert np.all(fit.symbolic.spart == F(0))
-
-
-def test_entry_model_fit_recovers_pi_parts():
-    fix = get_fixture("n3m2")
-    mat = substitute_v(fix.matrix, math.pi)
-    fit = entry_model_fit(_estimate_from_matrix(mat, 0.0), max_denominator=3000)
-    assert fit.n_unresolved == 0
-    assert np.all(fit.symbolic.rpart == fix.matrix.rpart)
-    assert np.all(fit.symbolic.spart == fix.matrix.spart)
-
-
-def test_entry_model_fit_mc_estimate_leaves_pi_cells_unresolved():
-    # at desk-scale sampling the stderr cannot discriminate values of order
-    # 1e-3/pi from neighboring simple rationals: reconstruction must refuse
-    # rather than guess, for the pi-cells and the large rationals alike
-    est = estimate_mean(HaarDirichletMeasure(n=3), 2, 100_000, seed=11)
-    fit = entry_model_fit(est, max_denominator=2000)
-    fix = get_fixture("n3m2")
-    pi_cells = [(i, j) for i, j in zip(*np.nonzero(fix.matrix.spart))]
-    statuses = {str(fit.status[i, j]) for i, j in pi_cells}
-    assert "pi" not in statuses
-    assert fit.n_unresolved >= len(pi_cells)
