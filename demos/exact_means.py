@@ -33,8 +33,6 @@ result = haar_mean(2, 2, 0)
 show_matrix("E[rho x rho] for 2x2 states (uniform simplex):", result.mean)
 print("class coefficients:",
       {k: str(v) for k, v in result.class_coefficients.items()})
-print("permutation coefficients:",
-      {k: str(v) for k, v in sorted(result.coefficients.items())})
 print("spectrum:", [(str(v), k) for v, k in result.spectrum()],
       " <- triplet 5/18 + singlet 1/6")
 

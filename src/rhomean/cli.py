@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mean", help="Monte Carlo mean of rho^(x m)")
     p.add_argument("--measure", required=True)
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=workers_default)
     p.add_argument("--out")
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_subst_v)
 
     p = sub.add_parser("ks", help="two-level family eigenvalue/multiplicity table")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--u", type=Fraction, required=True, help="family exponent (rational)")
     p.add_argument("--d", type=int)
     p.add_argument("--out")
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification cases")
     p.add_argument("--case", action="append", help="case id (repeatable)")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=workers_default)
     p.add_argument("--full-budget", action="store_true", help="use full published budgets")

@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import comb, lgamma
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .spectral import SymbolicEigenvalue, SymbolicMatrix
 
@@ -130,8 +129,9 @@ class MonotoneReport:
 def monotone_scan(u: float, grid: np.ndarray) -> MonotoneReport:
     """Check f(., u) for monotonicity on a sorted positive grid.
 
-    When an interior minimum exists its location is refined to ~1e-8 by a
-    bounded scalar minimization between the neighbors of the grid argmin.
+    An interior minimum exists only for u < 1/2, where d log f / dt = 0 puts
+    it at t* = (1-2u)/(3-2u); t* must fall between the neighbors of the grid
+    argmin, so the scan still checks the closed form.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 3 or np.any(grid <= 0):
@@ -144,13 +144,13 @@ def monotone_scan(u: float, grid: np.ndarray) -> MonotoneReport:
     k = int(np.argmin(vals))
     if is_monotone or k == 0 or k == len(grid) - 1:
         return MonotoneReport(is_monotone=is_monotone, argmin=None)
-    res = minimize_scalar(
-        lambda t: float(monotone_function(t, u)),
-        bounds=(grid[k - 1], grid[k + 1]),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return MonotoneReport(is_monotone=False, argmin=float(res.x))
+    t = float((1 - 2 * u) / (3 - 2 * u))
+    if not grid[k - 1] < t < grid[k + 1]:
+        raise ValueError(
+            f"closed-form minimum {t} lies outside the grid bracket "
+            f"({grid[k - 1]}, {grid[k + 1]})"
+        )
+    return MonotoneReport(is_monotone=False, argmin=t)
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,7 @@ class OracleResult:
     order, to a_K in mean = sum_K a_K W_K, where W_K is the sum of the slot
     permutation operators V_sigma over the class.  ``spectrum()`` reads them
     through the character system.  ``labelled`` and the dense ``mean``
-    (values[labels]) are built on first read and cached; ``coefficients``
-    expands the classes to one entry per sigma in S_m, also on first read.
+    (values[labels]) are built on first read and cached.
 
     Composite scenarios built from independent factors have no class
     coefficients; they carry the factor spectra and pass their labelled
@@ -206,17 +205,6 @@ class OracleResult:
         """Dense object array of Fraction, gathered from the labelled matrix."""
         values, labels = self.labelled
         return np.array(values, dtype=object)[labels]
-
-    @cached_property
-    def coefficients(self) -> dict[tuple[int, ...], Fraction] | None:
-        """c_sigma for every sigma in S_m (constant on classes); None if composite."""
-        if self.class_coefficients is None:
-            return None
-        return {
-            sigma: self.class_coefficients[ct]
-            for ct, elems in conjugacy_classes(self.scenario.power).items()
-            for sigma in elems
-        }
 
     def spectrum(self) -> list[tuple[Fraction, int]]:
         return exact_spectrum(self)

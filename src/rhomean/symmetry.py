@@ -78,8 +78,8 @@ def conjugacy_classes(m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ..
     """Map cycle type -> all permutations of S_m with that type.
 
     Full enumeration of all m! permutations, cached per m (m = 9 takes about
-    a second).  The exact spectrum does not need it; the dense matrix and the
-    per-sigma coefficients of the oracle do.
+    a second).  The exact spectrum does not need it; the oracle's matrix
+    build does.
     """
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for p in permutations(range(m)):

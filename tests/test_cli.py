@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -30,8 +31,15 @@ from rhomean.montecarlo import estimate_mean
 from rhomean.measures import HaarDirichletMeasure
 from rhomean.linalg import distinct_entries
 from rhomean.oracle import haar_mean, labelled_kron
+from rhomean.symmetry import cycle_type
 
 DATA = Path(__file__).parent / "data"
+
+
+def per_sigma(result):
+    """c_sigma for every sigma in S_m, read off the class coefficients."""
+    m = result.scenario.power
+    return {s: result.class_coefficients[cycle_type(s)] for s in permutations(range(m))}
 
 
 def test_cycle_notation_round_trip():
@@ -106,11 +114,11 @@ def test_oracle_artifact_reads_every_sigma_form():
     payload = oracle_result_to_json(result)
     # the earlier schema listed every sigma in S_m and had no form marker
     del payload["coefficients_form"]
-    payload["coefficients"] = {perm_to_cycles(s): str(c) for s, c in result.coefficients.items()}
+    payload["coefficients"] = {perm_to_cycles(s): str(c) for s, c in per_sigma(result).items()}
     assert len(payload["coefficients"]) == 6
     back = oracle_result_from_json(json.loads(json.dumps(payload)))
     assert back.class_coefficients == result.class_coefficients
-    assert back.coefficients == result.coefficients
+    assert per_sigma(back) == per_sigma(result)
     with pytest.raises(ValueError, match="unknown coefficients_form"):
         oracle_result_from_json({**payload, "coefficients_form": "orbit"})
     # two transpositions with different values are no class function
@@ -130,7 +138,7 @@ def test_matrix_json_round_trips():
     assert "mean" not in back.__dict__  # read back labelled; dense only on demand
     assert back.trace() == 1 and "mean" not in back.__dict__
     assert np.all(back.mean == result.mean)
-    assert back.coefficients == result.coefficients
+    assert per_sigma(back) == per_sigma(result)
     assert back.scenario == result.scenario
     # distinct strings naming one value read back as one labelled value
     payload = oracle_result_to_json(result)
@@ -337,6 +345,7 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
     assert main(["oracle", "--n", "2", "--m", "2", "--q", "1"]) == 1  # q >= 1
     assert main(["subst-v", "--fixture", "n3m2", "--v", "0"]) == 1
     assert main(["verify"]) == 2
+    mean = ["mean", "--measure", '{"type":"bloch","u":-2}', "--m", "2", "--samples", "100"]
     for argv in (
         ["oracle", "--n", "2", "--m", "0"],
         ["oracle", "--n", "2x", "--m", "2"],
@@ -344,11 +353,19 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
         # the family exponent is exact: inf and nan are not rationals
         ["ks", "--m", "2", "--u=-inf"],
         ["ks", "--m", "2", "--u=nan"],
+        # a power or sample count below 1 is a usage error, not an empty table
+        # or the default budget
+        ["ks", "--m", "0", "--u", "0"],
+        ["ks", "--m", "-1", "--u", "0"],
+        ["verify", "--case", "mc.n3m2", "--samples", "0"],
+        ["verify", "--all", "--samples", "0"],
+        ["verify", "--all", "--samples", "-5"],
+        mean[:-1] + ["0"],
+        mean[:-1] + ["-100"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-    mean = ["mean", "--measure", '{"type":"bloch","u":-2}', "--m", "2", "--samples", "100"]
     # a worker count below 1 is a usage error, caught before any process starts
     for argv in (mean + ["--workers", "0"], mean + ["--workers", "-2"], ["verify", "--all", "--workers", "0"]):
         with pytest.raises(SystemExit) as exc:

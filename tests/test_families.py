@@ -1,14 +1,19 @@
 """Closed-form families: spin tables, monotone functions, marginal, q-families."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import comb, lgamma
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rhomean
 from rhomean.families import (
     bloch_family_eigenvalue,
     bloch_family_eigenvalue_exact,
@@ -134,6 +139,48 @@ def test_monotone_scan():
     assert abs(rep.argmin - 5 / 7) < 1e-6
     with pytest.raises(ValueError):
         monotone_scan(0.5, np.array([1.0, 0.5, 2.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    u=st.floats(-30.0, 0.45),
+    lo=st.floats(0.001, 0.9),
+    hi=st.floats(1.0, 20.0),
+    n=st.integers(3, 400),
+)
+def test_monotone_scan_argmin_is_closed_form(u, lo, hi, n):
+    grid = np.linspace(lo, hi, n)
+    vals = monotone_function(grid, u)
+    k = int(np.argmin(vals))
+    assume(0 < k < n - 1)  # the minimum t* = (1-2u)/(3-2u) inside the grid
+    rep = monotone_scan(u, grid)
+    assert not rep.is_monotone
+    assert rep.argmin == (1 - 2 * u) / (3 - 2 * u)
+    assert grid[k - 1] < rep.argmin < grid[k + 1]
+    assert monotone_function(rep.argmin, u) <= vals.min()
+
+
+@settings(max_examples=50, deadline=None)
+@given(u=st.floats(0.5, 1.5))
+def test_monotone_scan_is_monotone_for_u_in_half_to_three_halves(u):
+    for grid in (np.linspace(0.01, 10, 1000), np.geomspace(1e-3, 1e3, 2000)):
+        rep = monotone_scan(u, grid)
+        assert rep.is_monotone and rep.argmin is None
+
+
+def test_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, rhomean, rhomean.cli; "
+        "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
+    )
+    # the child imports the same rhomean as this process
+    src = str(Path(rhomean.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_maximal_marginal_expectations():
