@@ -7,11 +7,14 @@ genuine monotone metrics, and the maximal metric's simplex marginal has
 simple rational moments.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from rhomean import (
+    BlochBallMeasure,
     bloch_family_eigenvalue_exact,
-    bloch_family_table,
+    exact_mean,
     maximal_marginal_expectations,
     monotone_function,
     monotone_scan,
@@ -29,12 +32,13 @@ for m in (2, 3, 4):
     )
     print(f"  m={m}: {rows}")
 
-print("\nBures weighting (u = 1/2), m = 4 table:")
-for lam, mult in bloch_family_table(4, 0.5):
-    print(f"  {lam:.9f}  (x{mult})")
+# the same tables follow from the law's power-sum moments alone
+print("\nBures weighting (u = 1/2), m = 4 spectrum of the exact mean:")
+for lam, mult in exact_mean(BlochBallMeasure(u=Fraction(1, 2)), 4).spectrum():
+    print(f"  {lam} = {float(lam):.9f}  (x{mult})")
 
-total = sum(v * k for v, k in bloch_family_table(8, -2.0))
-print(f"\ntrace normalization at m=8, u=-2: {total:.15f}")
+total = sum(v * k for v, k in exact_mean(BlochBallMeasure(u=-2), 8).spectrum())
+print(f"\ntrace normalization at m=8, u=-2: {total}")
 
 # ---------------------------------------------------------------------------
 # monotonicity of the metric indicator function

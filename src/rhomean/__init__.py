@@ -7,9 +7,7 @@ rational/pi entries.
 """
 
 from .families import (
-    bloch_family_eigenvalue,
     bloch_family_eigenvalue_exact,
-    bloch_family_table,
     dirichlet_family,
     maximal_marginal_expectations,
     monotone_function,
@@ -45,6 +43,7 @@ from .oracle import (
     OracleResult,
     composite_haar_mean,
     dirichlet_moment,
+    exact_mean,
     exact_spectrum,
     haar_mean,
     power_sum_moment,

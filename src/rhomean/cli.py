@@ -19,7 +19,7 @@ from .families import bloch_family_eigenvalue_exact, spin_multiplicity
 from .fixtures import get_fixture
 from .linalg import Scenario, hermitian_eig
 from .measures import RandomStream, sample_density
-from .montecarlo import estimate_mean
+from .montecarlo import MIN_SAMPLES, estimate_mean
 from .oracle import composite_haar_mean, haar_mean
 from .spectral import SymbolicMatrix, cluster_spectrum, selection_rule, substitute_v
 
@@ -28,11 +28,18 @@ def _parse_factors(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.lower().replace("*", "x").split("x"))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+_positive_int = _int_at_least(1)
+_sample_count = _int_at_least(MIN_SAMPLES)
 
 
 def _parse_q(text: str):
@@ -122,6 +129,9 @@ def cmd_subst_v(args) -> int:
 
 
 def cmd_ks(args) -> int:
+    if args.d is not None and not 0 <= args.d <= args.m // 2:
+        print(f"ks: --d must lie in [0, {args.m // 2}] for --m {args.m}", file=sys.stderr)
+        return 2
     rows = []
     ds = [args.d] if args.d is not None else list(range(args.m // 2 + 1))
     for d in ds:
@@ -171,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mean", help="Monte Carlo mean of rho^(x m)")
     p.add_argument("--measure", required=True)
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--samples", type=_positive_int, required=True)
+    p.add_argument("--samples", type=_sample_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=workers_default)
     p.add_argument("--out")
@@ -213,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification cases")
     p.add_argument("--case", action="append", help="case id (repeatable)")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--samples", type=_positive_int)
+    p.add_argument("--samples", type=_sample_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=workers_default)
     p.add_argument("--full-budget", action="store_true", help="use full published budgets")

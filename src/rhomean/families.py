@@ -5,14 +5,15 @@ The two-level "Bloch family" weights density matrices by
 Gamma(5/2-u) r^2 sin(theta) / (pi^(3/2) Gamma(1-u) (1-r^2)^u) with u < 1; its
 mean tensor-power matrices have eigenvalue lambda(m, d) on the component with
 d minority spins and multiplicity M(m, d) = (m-2d+1)^2/(m+1) * C(m+1, d).
+These closed forms are the published tables; ``oracle.exact_mean`` derives
+the same spectrum from the law's power-sum moments.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lgamma
+from math import comb
 
 import numpy as np
 
@@ -23,25 +24,7 @@ from .spectral import SymbolicEigenvalue, SymbolicMatrix
 # ---------------------------------------------------------------------------
 
 
-def bloch_family_eigenvalue(m: int, d: int, u: float) -> float:
-    """Eigenvalue lambda(m, d) of the mean 2^m x 2^m matrix for parameter u.
-
-    Gamma-product form evaluated through log-gamma; all arguments are positive
-    for u < 1 so no reflection is needed.
-    """
-    _check_md(m, d, u)
-    log_val = (
-        lgamma(2.5 - u)
-        + lgamma(2 + m - d - u)
-        + lgamma(1 + d - u)
-        - lgamma(2.5 + m / 2 - u)
-        - lgamma(2 + m / 2 - u)
-        - lgamma(1 - u)
-    )
-    return math.exp(log_val) / 2**m
-
-
-def _check_md(m: int, d: int, u: float) -> None:
+def _check_md(m: int, d: int, u: Fraction) -> None:
     if m < 1:
         raise ValueError("power m must be >= 1")
     if not 0 <= d <= m // 2:
@@ -74,7 +57,7 @@ def bloch_family_eigenvalue_exact(m: int, d: int, u) -> Fraction:
     gamma quotient into rising factorials.
     """
     uq = Fraction(u)
-    _check_md(m, d, float(uq))
+    _check_md(m, d, uq)
     num = [Fraction(5, 2) - uq, 2 + m - d - uq, 1 + d - uq]
     den = [Fraction(5, 2) + Fraction(m, 2) - uq, 2 + Fraction(m, 2) - uq, 1 - uq]
     if m % 2 == 0:
@@ -94,14 +77,6 @@ def spin_multiplicity(m: int, d: int) -> int:
     num = (m - 2 * d + 1) ** 2 * comb(m + 1, d)
     assert num % (m + 1) == 0
     return num // (m + 1)
-
-
-def bloch_family_table(m: int, u: float) -> list[tuple[float, int]]:
-    """(eigenvalue, multiplicity) rows for d = 0..floor(m/2)."""
-    return [
-        (bloch_family_eigenvalue(m, d, u), spin_multiplicity(m, d))
-        for d in range(m // 2 + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import Scenario, distinct_entries
-from .measures import MeasureSpec, measure_from_json
+from .measures import (
+    HaarDirichletMeasure,
+    MeasureSpec,
+    ProductMeasure,
+    factor_laws,
+    measure_from_json,
+)
 from .montecarlo import MeanEstimate
 from .oracle import OracleResult
 from .spectral import SymbolicMatrix, substitute_v
@@ -207,12 +213,17 @@ def oracle_result_to_json(result: OracleResult) -> dict:
     Each class is keyed by its canonical representative in cycle notation
     (consecutive slots, longest cycle first), e.g. "()", "(12)", "(123)(45)",
     and ``"coefficients_form": "class"`` marks this schema.  Readers that
-    expect every sigma in S_m cannot read it.
+    expect every sigma in S_m cannot read it.  ``"q"`` lists each factor's
+    Dirichlet exponents, so the law must be Haar x Dirichlet or a product of
+    such factors.
     """
+    laws = factor_laws(result.measure)
+    if not all(isinstance(f, HaarDirichletMeasure) for f in laws):
+        raise ValueError(f"oracle artifacts record Dirichlet laws only, not {result.measure!r}")
     out = {
         "factors": list(result.scenario.factors),
         "m": result.scenario.power,
-        "q": [[str(x) for x in qs] for qs in result.q],
+        "q": [[str(Fraction(x)) for x in f.q] for f in laws],
         "matrix": labelled_matrix_to_json(*result.labelled),
     }
     if result.class_coefficients is not None:
@@ -263,9 +274,13 @@ def oracle_result_from_json(obj: dict) -> OracleResult:
         factor_spectra = tuple(
             tuple((Fraction(v), mult) for v, mult in spec) for spec in obj["factor_spectra"]
         )
+    laws = [
+        HaarDirichletMeasure(n, tuple(Fraction(x) for x in qs))
+        for n, qs in zip(factors, obj["q"], strict=True)
+    ]
     return OracleResult(
         scenario=Scenario(factors=factors, power=m),
-        q=tuple(tuple(Fraction(x) for x in qs) for qs in obj["q"]),
+        measure=laws[0] if len(laws) == 1 else ProductMeasure(tuple(laws)),
         class_coefficients=coeffs,
         factor_spectra=factor_spectra,
         matrix=_labelled_rationals(*_check_entry_count(obj["matrix"])),

@@ -24,11 +24,12 @@ orthogonal-conjugation ensembles are deliberately not implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import inf, prod
+from numbers import Real
 
 import numpy as np
 
-from .linalg import validate_density_matrix
+from .linalg import Scenario, validate_density_matrix
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,19 +56,23 @@ def _as_generator(rng) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class HaarDirichletMeasure:
-    """Haar eigenvectors times Dirichlet simplex eigenvalues on N x N states."""
+    """Haar eigenvectors times Dirichlet simplex eigenvalues on N x N states.
+
+    ``q`` holds one exponent per level, or one shared by all levels (default
+    0), as given: the exact oracle reads them as Fractions, the sampler as floats.
+    """
 
     n: int
-    q: tuple[float, ...] = ()
+    q: tuple | Real = ()
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
-        q = tuple(self.q) if self.q else (0.0,) * self.n
+        q = (self.q,) * self.n if isinstance(self.q, Real) else tuple(self.q) or (0.0,) * self.n
         if len(q) != self.n:
-            raise ValueError(f"expected {self.n} Dirichlet parameters")
-        if any(x >= 1 for x in q):
-            raise ValueError("Dirichlet parameters must satisfy q < 1")
+            raise ValueError(f"expected {self.n} Dirichlet parameters, got {len(q)}")
+        if not all(-inf < x < 1 for x in q):
+            raise ValueError("Dirichlet parameters must be finite and satisfy q < 1")
         object.__setattr__(self, "q", q)
 
     @property
@@ -75,7 +80,7 @@ class HaarDirichletMeasure:
         return self.n
 
     def to_json(self) -> dict:
-        return {"type": "zhsl", "n": self.n, "q": list(self.q)}
+        return {"type": "zhsl", "n": self.n, "q": [float(x) for x in self.q]}
 
 
 @dataclass(frozen=True)
@@ -85,15 +90,15 @@ class BlochBallMeasure:
     u: float
 
     def __post_init__(self):
-        if not self.u < 1:
-            raise ValueError("family parameter must satisfy u < 1")
+        if not -inf < self.u < 1:
+            raise ValueError("family parameter must be finite and satisfy u < 1")
 
     @property
     def dim(self) -> int:
         return 2
 
     def to_json(self) -> dict:
-        return {"type": "bloch", "u": self.u}
+        return {"type": "bloch", "u": float(self.u)}
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,17 @@ class ProductMeasure:
 MeasureSpec = HaarDirichletMeasure | BlochBallMeasure | ProductMeasure
 
 
+def factor_laws(spec: MeasureSpec) -> tuple:
+    """The single laws ``spec`` tensors together, in order, nested products flattened."""
+    if isinstance(spec, ProductMeasure):
+        return sum((factor_laws(f) for f in spec.factors), ())
+    return (spec,)
+
+
+def scenario_for(spec: MeasureSpec, m: int) -> Scenario:
+    return Scenario(factors=tuple(f.dim for f in factor_laws(spec)), power=m)
+
+
 def _field(obj: dict, name: str):
     if name not in obj:
         raise ValueError(f"measure JSON lacks the field {name!r}")
@@ -127,11 +143,9 @@ def _field(obj: dict, name: str):
 def measure_from_json(obj: dict) -> MeasureSpec:
     kind = obj.get("type")
     if kind in ("zhsl", "haar-dirichlet"):
-        n = int(_field(obj, "n"))
-        q = obj.get("q", [0.0] * n)
-        if isinstance(q, (int, float)):
-            q = [q] * n
-        return HaarDirichletMeasure(n=n, q=tuple(float(x) for x in q))
+        q = obj.get("q", 0.0)
+        q = float(q) if isinstance(q, (int, float)) else tuple(float(x) for x in q)
+        return HaarDirichletMeasure(n=int(_field(obj, "n")), q=q)
     if kind == "bloch":
         return BlochBallMeasure(u=float(_field(obj, "u")))
     if kind == "product":
@@ -209,7 +223,7 @@ def _bloch_batch(m: BlochBallMeasure, size: int, gen) -> np.ndarray:
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     # r^2 ~ Beta(3/2, 1-u), realized as a ratio of Gamma variates
     ga = gen.gamma(1.5, size=size)
-    gb = gen.gamma(1.0 - m.u, size=size)
+    gb = gen.gamma(1.0 - float(m.u), size=size)
     r = np.sqrt(ga / (ga + gb))
     v = r[:, None] * direction
     rho = np.empty((size, 2, 2), dtype=complex)

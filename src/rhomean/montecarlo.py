@@ -37,9 +37,9 @@ import numpy as np
 from .linalg import Scenario, check_dim_cap
 from .measures import (
     MeasureSpec,
-    ProductMeasure,
     RandomStream,
     sample_density_batch,
+    scenario_for,
 )
 
 if TYPE_CHECKING:
@@ -52,18 +52,8 @@ if TYPE_CHECKING:
 #: computes: re-sizing them would re-draw every seeded estimate.
 _CHUNK_ENTRY_BUDGET = 2_000_000
 
-
-def _measure_factors(spec: MeasureSpec) -> tuple[int, ...]:
-    if isinstance(spec, ProductMeasure):
-        out: tuple[int, ...] = ()
-        for f in spec.factors:
-            out += _measure_factors(f)
-        return out
-    return (spec.dim,)
-
-
-def scenario_for(spec: MeasureSpec, m: int) -> Scenario:
-    return Scenario(factors=_measure_factors(spec), power=m)
+#: Fewest samples ``estimate_mean`` accepts.
+MIN_SAMPLES = 100
 
 
 def chunk_size_for(dim: int) -> int:
@@ -206,8 +196,8 @@ def estimate_mean(
     """Unbiased sample mean of rho^(x m) with deterministic chunked reduction."""
     scenario = scenario_for(spec, m)
     check_dim_cap(scenario.dim)
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 

@@ -1,21 +1,21 @@
-"""Exact mean density matrices of tensor powers under unitarily invariant measures.
+"""Exact mean density matrices of tensor powers under unitarily invariant laws.
 
-For a random density matrix rho = U diag(e) U+ with U Haar on U(N) and
-eigenvalues e drawn from a symmetric simplex law, the mean of rho^(x m)
-commutes with every W^(x m) and therefore lies in the span of the tensor-slot
-permutation operators V_sigma.  Conjugation invariance under S_m further
-restricts it to the span of class sums W_K, which act on the SU(N) x S_m
-isotypic component lam of (C^N)^(x m) as the scalar |K| chi^lam(K) / f^lam.
-The mean acts there as the scalar
+For a random density matrix rho = U diag(e) U+ whose law is invariant under
+unitary conjugation, the mean of rho^(x m) commutes with every W^(x m) and
+therefore lies in the span of the tensor-slot permutation operators V_sigma.
+Conjugation invariance under S_m further restricts it to the span of class
+sums W_K, which act on the SU(N) x S_m isotypic component lam of (C^N)^(x m)
+as the scalar |K| chi^lam(K) / f^lam.  The mean acts there as the scalar
 
     c_lam = E[s_lam(e)] / dim_U(lam),
     E[s_lam(e)] = sum_mu chi^lam(mu) |mu| E[p_mu(e)] / m!,
 
 so the class coefficients solve the character system
 sum_K a_K |K| chi^lam(K) / f^lam = c_lam, one row per lam with at most N
-rows, whose right-hand side reduces to simplex moments of the power sums.
-The p(m) class coefficients are the stored form of a result: the exact
-spectrum reads the same rows, so it needs no enumeration of S_m and no
+rows, whose right-hand side needs only the law's power-sum moments
+(``power_sum_moment``), for Haar x Dirichlet states and the Bloch family
+alike.  The p(m) class coefficients are the stored form of a result: the
+exact spectrum reads the same rows, so it needs no enumeration of S_m and no
 matrix.  The matrix takes few distinct values (17 of 65536 at N=4, m=4), so
 it is labelled: distinct Fractions ``values`` and a (D, D) integer array
 ``labels``, and building, Kronecker products and reordering touch each value
@@ -31,7 +31,8 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
-from math import factorial
+from math import comb, factorial, prod
+from numbers import Real
 
 import numpy as np
 
@@ -42,6 +43,13 @@ from .linalg import (
     permutation_rows,
     reorder_subsystems,
 )
+from .measures import (
+    BlochBallMeasure,
+    HaarDirichletMeasure,
+    MeasureSpec,
+    ProductMeasure,
+    scenario_for,
+)
 from .symmetry import (
     character,
     class_size,
@@ -51,33 +59,19 @@ from .symmetry import (
     unitary_group_dimension,
 )
 
-QLike = Fraction | int | list | tuple
 Labelled = tuple[list[Fraction], np.ndarray]  # matrix values[labels], values distinct
 
 
-def _as_q_vector(n: int, q: QLike) -> tuple[Fraction, ...]:
-    if isinstance(q, (list, tuple)):
-        qs = tuple(Fraction(x) for x in q)
-        if len(qs) != n:
-            raise ValueError(f"expected {n} Dirichlet parameters, got {len(qs)}")
-    else:
-        qs = (Fraction(q),) * n
-    if any(x >= 1 for x in qs):
-        raise ValueError("Dirichlet parameters must satisfy q < 1")
-    return qs
-
-
-def dirichlet_moment(n: int, q: QLike, k: tuple[int, ...]) -> Fraction:
-    """E[prod_i e_i^{k_i}] on the simplex under Dirichlet exponents -q_i.
+def dirichlet_moment(q: tuple, k: tuple[int, ...]) -> Fraction:
+    """E[prod_i e_i^{k_i}] on the simplex of len(q) levels, exponents -q_i.
 
     The density is proportional to prod e_i^{-q_i}, i.e. Dirichlet with
     concentrations alpha_i = 1 - q_i; the moment is a ratio of rising
     factorials and hence exactly rational for rational q.
     """
-    qs = _as_q_vector(n, q)
-    if len(k) != n or any(x < 0 for x in k):
+    if len(k) != len(q) or any(x < 0 for x in k):
         raise ValueError("exponent vector must list one value >= 0 per level")
-    alphas = [1 - x for x in qs]
+    alphas = [1 - Fraction(x) for x in q]
     num = Fraction(1)
     for a, ki in zip(alphas, k):
         for t in range(ki):
@@ -89,24 +83,36 @@ def dirichlet_moment(n: int, q: QLike, k: tuple[int, ...]) -> Fraction:
     return num / den
 
 
-def power_sum_moment(n: int, q: QLike, cycle_lengths: tuple[int, ...]) -> Fraction:
+def power_sum_moment(law: MeasureSpec, cycle_lengths: tuple[int, ...]) -> Fraction:
     """E[prod_j p_{l_j}(e)] with p_l the l-th power sum of the eigenvalues.
 
     This is E[prod_cycles tr(rho^{cycle length})], the quantity pairing the
     mean of rho^(x m) with a permutation operator of the given cycle type.
-    Length-1 cycles contribute p_1 = 1 exactly and are skipped; the rest are
-    expanded over level assignments into Dirichlet moments.
+    Length-1 cycles contribute p_1 = 1 exactly and are skipped.  Under a
+    Dirichlet law the rest are expanded over level assignments into Dirichlet
+    moments.  Under the Bloch law the spectrum is (1 +- r)/2, so
+    p_l = 2^(1-l) sum_{even k} C(l, k) r^k is a polynomial in s = r^2, and
+    r^2 ~ Beta(3/2, 1-u) gives E[s^j] = (3/2)_j / (5/2-u)_j.
     """
     if any(l < 1 for l in cycle_lengths):
         raise ValueError("cycle lengths must be positive")
     lens = [l for l in cycle_lengths if l > 1]
-    total = Fraction(0)
-    for assign in product(range(n), repeat=len(lens)):
-        k = [0] * n
-        for level, l in zip(assign, lens):
-            k[level] += l
-        total += dirichlet_moment(n, q, tuple(k))
-    return total
+    if isinstance(law, HaarDirichletMeasure):
+        total = Fraction(0)
+        for assign in product(range(law.n), repeat=len(lens)):
+            k = [0] * law.n
+            for level, l in zip(assign, lens):
+                k[level] += l
+            total += dirichlet_moment(law.q, tuple(k))
+        return total
+    if isinstance(law, BlochBallMeasure):
+        # prod_j p_{l_j} by powers of s, paired with E[s^j] = prod_{t<j} (a+t)/(b+t)
+        p = [[Fraction(comb(l, 2 * j), 2 ** (l - 1)) for j in range(l // 2 + 1)] for l in lens]
+        poly = reduce(np.convolve, p, np.array([Fraction(1)], dtype=object))
+        a, b = Fraction(3, 2), Fraction(5, 2) - Fraction(law.u)
+        rise = [(a + t) / (b + t) for t in range(len(poly))]
+        return sum(c * prod(rise[:j]) for j, c in enumerate(poly))
+    raise TypeError(f"no power-sum moments for the law {law!r}")
 
 
 def solve_rational_system(
@@ -157,13 +163,14 @@ class OracleResult:
     through the character system.  ``labelled`` and the dense ``mean``
     (values[labels]) are built on first read and cached.
 
-    Composite scenarios built from independent factors have no class
-    coefficients; they carry the factor spectra and pass their labelled
-    matrix as ``matrix``, as do results read back from an artifact.
+    Products of independent laws have no class coefficients; they carry the
+    factor spectra and pass their labelled matrix as ``matrix``, as do
+    results read back from an artifact.  The dimension cap applies when the
+    matrix is built, not to the spectrum.
     """
 
     scenario: Scenario
-    q: tuple[tuple[Fraction, ...], ...]  # per factor
+    measure: MeasureSpec
     class_coefficients: dict[tuple[int, ...], Fraction] | None = None
     factor_spectra: tuple[tuple[tuple[Fraction, int], ...], ...] | None = None
     matrix: InitVar[Labelled | None] = None
@@ -179,6 +186,7 @@ class OracleResult:
         """sum_K a_K W_K, folding each class's integer V_sigma counts into the labels."""
         (n,), m = self.scenario.factors, self.scenario.power
         d = n**m
+        check_dim_cap(d)
         cols = np.arange(d)
         values, labels = [Fraction(0)], np.zeros(d * d, dtype=np.intp)
         for ct, elems in conjugacy_classes(m).items():
@@ -235,23 +243,34 @@ def _irreps(n: int, m: int) -> list[tuple[int, int, list[Fraction]]]:
     return out
 
 
-def haar_mean(n: int, m: int, q: QLike = 0) -> OracleResult:
-    """Exact E[rho^(x m)] for N x N states with Haar eigenvectors, Dirichlet spectrum.
+def exact_mean(law: MeasureSpec, m: int) -> OracleResult:
+    """Exact E[rho^(x m)] under a unitarily invariant law (a measure spec).
 
-    ``q`` is the common simplex exponent (q = 0 is the uniform simplex) or a
-    length-N sequence of exponents; all must be < 1.  Only the class
-    coefficients are computed here; the matrix is built on first read of
-    ``.labelled`` or ``.mean``.  The dimension cap applies all the same.
+    A single law yields only class coefficients; its matrix is built on first
+    read.  Independence factorizes the mean of a ``ProductMeasure`` into the
+    tensor product of its factors' means; the subsystems are then reordered
+    from factor-major order (A_1..A_m, B_1..B_m, ...) to power-major order
+    ((A_1 B_1..), (A_2 B_2..)).  Both steps run on the factors' integer labels
+    (see ``labelled_kron``).
     """
-    if m < 1:
-        raise ValueError("power m must be >= 1")
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    check_dim_cap(n**m)
-    qs = _as_q_vector(n, q)
+    scenario = scenario_for(law, m)
+    if isinstance(law, ProductMeasure):
+        check_dim_cap(scenario.dim)
+        factor_results = [exact_mean(f, m) for f in law.factors]
+        values, labels = reduce(labelled_kron, [fr.labelled for fr in factor_results])
+        # factor-major subsystem list: factor i repeated over power slots
+        k = len(law.factors)
+        dims = [f.dim for f in law.factors for _ in range(m)]
+        perm = tuple(i * m + s for s in range(m) for i in range(k))
+        return OracleResult(
+            scenario=scenario,
+            measure=law,
+            factor_spectra=tuple(tuple(fr.spectrum()) for fr in factor_results),
+            matrix=(values, reorder_subsystems(labels, dims, perm)),
+        )
     types = sorted(partitions(m))
-    moments = [power_sum_moment(n, qs, ct) for ct in types]
-    irreps = _irreps(n, m)
+    moments = [power_sum_moment(law, ct) for ct in types]
+    irreps = _irreps(law.dim, m)
     # sum_mu chi^lam(mu) |mu| E[p_mu] / m! = f^lam (r_lam . moments) / m!
     rhs = [
         f * sum(r * p for r, p in zip(row, moments)) / (factorial(m) * wdim)
@@ -260,11 +279,16 @@ def haar_mean(n: int, m: int, q: QLike = 0) -> OracleResult:
     # Gauss-Jordan pins the free classes of a rank-deficient system (n < m)
     # to zero, so the dense build skips them.
     class_coeff = dict(zip(types, solve_rational_system([row for _, _, row in irreps], rhs)))
-    return OracleResult(
-        scenario=Scenario(factors=(n,), power=m),
-        q=(qs,),
-        class_coefficients=class_coeff,
-    )
+    return OracleResult(scenario=scenario, measure=law, class_coefficients=class_coeff)
+
+
+def haar_mean(n: int, m: int, q: tuple | Real = 0) -> OracleResult:
+    """Exact E[rho^(x m)] for N x N states with Haar eigenvectors, Dirichlet spectrum.
+
+    ``q`` is the common simplex exponent (q = 0 is the uniform simplex) or a
+    length-N sequence of exponents; all must be < 1.
+    """
+    return exact_mean(HaarDirichletMeasure(n, q), m)
 
 
 def exact_spectrum(result: OracleResult) -> list[tuple[Fraction, int]]:
@@ -307,29 +331,9 @@ def labelled_kron(a: Labelled, b: Labelled) -> Labelled:
     return values, labels.reshape(ia.shape[0] * ib.shape[0], ia.shape[1] * ib.shape[1])
 
 
-def composite_haar_mean(scenario: Scenario, qs: list[QLike] | None = None) -> OracleResult:
-    """Exact mean of (rho_1 x ... x rho_k)^(x m) for independent factors.
-
-    Independence factorizes the mean into the tensor product of per-factor
-    means; the subsystems are then reordered from factor-major order
-    (A_1..A_m, B_1..B_m, ...) to power-major order ((A_1 B_1..), (A_2 B_2..)).
-    Both steps run on the factors' integer labels (see ``labelled_kron``).
-    """
-    check_dim_cap(scenario.dim)
-    if qs is None:
-        qs = [0] * len(scenario.factors)
-    if len(qs) != len(scenario.factors):
-        raise ValueError("one Dirichlet parameter (set) per factor required")
-    m = scenario.power
-    factor_results = [haar_mean(n, m, q) for n, q in zip(scenario.factors, qs)]
-    values, labels = reduce(labelled_kron, [fr.labelled for fr in factor_results])
-    k = len(scenario.factors)
-    # factor-major subsystem list: factor i repeated over power slots
-    dims = [n for n in scenario.factors for _ in range(m)]
-    perm = tuple(i * m + s for s in range(m) for i in range(k))
-    return OracleResult(
-        scenario=scenario,
-        q=tuple(fr.q[0] for fr in factor_results),
-        factor_spectra=tuple(tuple(fr.spectrum()) for fr in factor_results),
-        matrix=(values, reorder_subsystems(labels, dims, perm)),
-    )
+def composite_haar_mean(scenario: Scenario, qs: list | None = None) -> OracleResult:
+    """Exact mean of (rho_1 x ... x rho_k)^(x m) for independent Haar x Dirichlet
+    factors, one exponent (or exponent sequence) per factor in ``qs``."""
+    qs = [0] * len(scenario.factors) if qs is None else qs
+    laws = (HaarDirichletMeasure(n, q) for n, q in zip(scenario.factors, qs, strict=True))
+    return exact_mean(ProductMeasure(tuple(laws)), scenario.power)

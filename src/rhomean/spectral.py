@@ -28,9 +28,6 @@ class SymbolicEntry(NamedTuple):
         return float(self.r) + float(self.s) / v
 
 
-ZERO_ENTRY = SymbolicEntry(Fraction(0), Fraction(0))
-
-
 @dataclass(frozen=True)
 class SymbolicEigenvalue:
     """Eigenvalue r + coef * sqrt(radicand) / pi with exact rational parts."""
@@ -78,9 +75,6 @@ class SymbolicMatrix:
     @property
     def dim(self) -> int:
         return self.rpart.shape[0]
-
-    def entry(self, i: int, j: int) -> SymbolicEntry:
-        return SymbolicEntry(self.rpart[i, j], self.spart[i, j])
 
     def is_symmetric(self) -> bool:
         return bool(

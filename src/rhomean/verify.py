@@ -21,7 +21,7 @@ from . import families, fixtures
 from .linalg import Scenario, hermitian_eig
 from .measures import BlochBallMeasure, HaarDirichletMeasure
 from .montecarlo import convergence_report, estimate_mean
-from .oracle import composite_haar_mean, haar_mean
+from .oracle import composite_haar_mean, exact_mean, haar_mean
 from .spectral import (
     SymbolicEigenvalue,
     cluster_spectrum,
@@ -66,8 +66,12 @@ class Budget:
     seed: int = 0
     workers: int = 1
 
+    def __post_init__(self):
+        if self.samples is not None and self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+
     def n(self, default: int) -> int:
-        return self.samples if self.samples else default
+        return self.samples if self.samples is not None else default
 
 
 def _gate(case: str, ok: bool, notes: str, **kw) -> Report:
@@ -251,6 +255,33 @@ def case_ks_tables(budget: Budget) -> Report:
             )
             ok = ok and total == 1
     return _gate("ks.tables", ok, "two-level family eigenvalue/multiplicity tables")
+
+
+def _ks_spectrum(m: int, u) -> list[tuple[Fraction, int]]:
+    """The closed-form table lambda(m, d) x M(m, d), merged by value, ascending."""
+    spec: dict[Fraction, int] = {}
+    for d in range(m // 2 + 1):
+        v = families.bloch_family_eigenvalue_exact(m, d, u)
+        spec[v] = spec.get(v, 0) + families.spin_multiplicity(m, d)
+    return sorted(spec.items())
+
+
+def case_bloch_vs_zhsl(budget: Budget) -> Report:
+    """The abstract's claim, exactly: the u = -2 Bloch family and the uniform
+    Haar x simplex law share eigenvalues for m <= 3 and differ for m > 3."""
+    off_table, same = [], []
+    for m in range(1, 13):
+        bloch = exact_mean(BlochBallMeasure(u=-2), m).spectrum()
+        if bloch != _ks_spectrum(m, -2):
+            off_table.append(m)
+        if bloch == haar_mean(2, m, 0).spectrum():
+            same.append(m)
+    return _gate(
+        "bloch.vs.zhsl",
+        not off_table and same == [1, 2, 3],
+        f"m=1..12: Bloch u=-2 exact spectra differ from the closed-form tables at "
+        f"m={off_table} and equal the ZHSL q=0 spectra at m={same}",
+    )
 
 
 def case_monotone(budget: Budget) -> Report:
@@ -592,6 +623,7 @@ CASES = {
     "dirichlet.n3m2": partial(case_dirichlet, which="n3m2"),
     "dirichlet.n4m2": partial(case_dirichlet, which="n4m2"),
     "ks.tables": case_ks_tables,
+    "bloch.vs.zhsl": case_bloch_vs_zhsl,
     "monotone": case_monotone,
     "marginal": case_marginal,
     "vectors.n3m2": case_vectors_n3m2,

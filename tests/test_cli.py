@@ -74,6 +74,7 @@ def test_oracle_artifact_round_trips_at_ten_slots():
     from fractions import Fraction
 
     from rhomean.linalg import Scenario
+    from rhomean.measures import HaarDirichletMeasure
     from rhomean.oracle import OracleResult
     from rhomean.symmetry import partitions
 
@@ -82,7 +83,7 @@ def test_oracle_artifact_round_trips_at_ten_slots():
     class_coefficients = {ct: Fraction(k - 20, 11 + k) for k, ct in enumerate(types)}
     result = OracleResult(
         scenario=Scenario(factors=(2,), power=10),
-        q=((Fraction(0), Fraction(0)),),
+        measure=HaarDirichletMeasure(n=2),
         class_coefficients=class_coefficients,
         # a labelled stand-in: the build at D = 1024 would enumerate all of S_10
         matrix=([Fraction(1, 1024)], np.zeros((1, 1), dtype=np.intp)),
@@ -94,6 +95,7 @@ def test_oracle_artifact_round_trips_at_ten_slots():
     back = oracle_result_from_json(json.loads(json.dumps(payload)))
     assert back.class_coefficients == class_coefficients
     assert back.scenario == result.scenario
+    assert back.measure == result.measure
     assert back.mean.tolist() == [[Fraction(1, 1024)]]
 
 
@@ -345,6 +347,9 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
     assert main(["oracle", "--n", "2", "--m", "2", "--q", "1"]) == 1  # q >= 1
     assert main(["subst-v", "--fixture", "n3m2", "--v", "0"]) == 1
     assert main(["verify"]) == 2
+    assert main(["ks", "--m", "2", "--u", "0", "--d", "-1"]) == 2
+    assert main(["ks", "--m", "5", "--u", "0", "--d", "3"]) == 2
+    assert main(["oracle", "--n", "2", "--m", "13"]) == 1  # the matrix exceeds the cap
     mean = ["mean", "--measure", '{"type":"bloch","u":-2}', "--m", "2", "--samples", "100"]
     for argv in (
         ["oracle", "--n", "2", "--m", "0"],
@@ -362,6 +367,9 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
         ["verify", "--all", "--samples", "-5"],
         mean[:-1] + ["0"],
         mean[:-1] + ["-100"],
+        # below the estimator's minimum sample count, and a spin label out of range
+        mean[:-1] + ["50"],
+        ["verify", "--case", "mc.n3m2", "--samples", "99"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

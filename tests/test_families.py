@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 
 import rhomean
 from rhomean.families import (
-    bloch_family_eigenvalue,
     bloch_family_eigenvalue_exact,
-    bloch_family_table,
     dirichlet_family,
     maximal_marginal_expectations,
     monotone_function,
@@ -25,7 +23,8 @@ from rhomean.families import (
     spin_multiplicity,
 )
 from rhomean.fixtures import get_fixture
-from rhomean.oracle import haar_mean
+from rhomean.measures import BlochBallMeasure
+from rhomean.oracle import exact_mean, haar_mean
 from rhomean.spectral import selection_rule
 
 
@@ -57,10 +56,11 @@ def test_published_eigenvalue_tables():
         F(1, 22),
         F(1, 33),
     ]
-    assert bloch_family_table(4, -2.0) == [
-        (pytest.approx(7 / 66), 5),
-        (pytest.approx(1 / 22), 9),
-        (pytest.approx(1 / 33), 2),
+    # the same table from the law's power-sum moments
+    assert exact_mean(BlochBallMeasure(u=-2), 4).spectrum() == [
+        (F(1, 33), 2),
+        (F(1, 22), 9),
+        (F(7, 66), 5),
     ]
 
 
@@ -69,9 +69,7 @@ def test_float_and_exact_paths_agree_with_beta_oracle():
         for d in range(m // 2 + 1):
             for u in (-2, 0, F(1, 2), F(-7, 3)):
                 exact = float(bloch_family_eigenvalue_exact(m, d, u))
-                fast = bloch_family_eigenvalue(m, d, float(u))
                 oracle = eigenvalue_by_beta_sum(m, d, float(u))
-                assert fast == pytest.approx(exact, rel=1e-12)
                 assert oracle == pytest.approx(exact, rel=1e-10)
 
 
@@ -82,16 +80,6 @@ def test_multiplicities():
         assert sum(spin_multiplicity(m, d) for d in range(m // 2 + 1)) == 2**m
     with pytest.raises(ValueError):
         spin_multiplicity(4, 3)
-
-
-def test_trace_normalization():
-    for m in range(1, 9):
-        for u in (-2.0, 0.0, 0.5):
-            total = sum(
-                bloch_family_eigenvalue(m, d, u) * spin_multiplicity(m, d)
-                for d in range(m // 2 + 1)
-            )
-            assert abs(total - 1) < 1e-12
 
 
 @given(st.integers(1, 6), st.fractions(min_value=-4, max_value=F(9, 10), max_denominator=12))
@@ -106,9 +94,9 @@ def test_trace_normalization_exact_property(m, u):
 
 def test_eigenvalue_domain_errors():
     with pytest.raises(ValueError):
-        bloch_family_eigenvalue(4, 3, -2.0)
+        bloch_family_eigenvalue_exact(4, 3, -2)
     with pytest.raises(ValueError):
-        bloch_family_eigenvalue(4, 0, 1.0)
+        bloch_family_eigenvalue_exact(4, 0, 1)
 
 
 def test_monotone_function_closed_forms():

@@ -1,5 +1,8 @@
 """Samplers: distributional checks with fixed seeds and 5-sigma gates."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -173,3 +176,21 @@ def test_measure_json_round_trip():
         HaarDirichletMeasure(n=2, q=(1.0, 0.0))
     with pytest.raises(ValueError):
         BlochBallMeasure(u=1.0)
+
+
+def test_spec_stores_exponents_as_given_and_rejects_non_finite_ones():
+    # a shared exponent is broadcast per level and kept exact for the oracle
+    spec = HaarDirichletMeasure(n=3, q=Fraction(1, 3))
+    assert spec.q == (Fraction(1, 3),) * 3 and all(type(x) is Fraction for x in spec.q)
+    assert spec.to_json() == {"type": "zhsl", "n": 3, "q": [1 / 3] * 3}
+    assert HaarDirichletMeasure(n=2).q == HaarDirichletMeasure(n=2, q=0).q == (0, 0)
+    assert BlochBallMeasure(u=Fraction(-1, 2)).to_json() == {"type": "bloch", "u": -0.5}
+    # NaN passed the q < 1 test and sampled an all-NaN mean
+    for q in (math.nan, -math.inf, (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            HaarDirichletMeasure(n=2, q=q)
+    for u in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            BlochBallMeasure(u=u)
+    with pytest.raises(ValueError):
+        measure_from_json({"type": "zhsl", "n": 2, "q": math.nan})

@@ -18,6 +18,7 @@ from rhomean.measures import (
     ProductMeasure,
     RandomStream,
     sample_density_batch,
+    scenario_for,
 )
 from rhomean.montecarlo import (
     _chunk_stats,
@@ -26,9 +27,8 @@ from rhomean.montecarlo import (
     estimate_mean,
     monomial_pairs,
     monomial_table,
-    scenario_for,
 )
-from rhomean.oracle import composite_haar_mean, haar_mean
+from rhomean.oracle import composite_haar_mean, exact_mean, haar_mean
 from rhomean.linalg import Scenario, permutation_operator, tensor_power
 
 PAIR_22 = ProductMeasure(factors=(HaarDirichletMeasure(n=2), HaarDirichletMeasure(n=2)))
@@ -68,20 +68,23 @@ def test_haar_dirichlet_m3_matches_published_8x8():
 
 
 def test_bloch_family_spectrum_tracks_u():
-    # clustered spectra of the u-family means hit the closed-form tables
-    from rhomean.families import bloch_family_table
+    # clustered spectra of the u-family means hit the exact spectra, and every
+    # entry of the estimate lies within 5 standard errors of the exact mean
     from rhomean.linalg import hermitian_eig
     from rhomean.spectral import cluster_spectrum
 
     for u in (0.0, 0.5):
         for m in (2, 3, 4):
-            est = estimate_mean(BlochBallMeasure(u=u), m, 200_000, seed=13)
+            spec = BlochBallMeasure(u=u)
+            exact = exact_mean(spec, m)
+            est = estimate_mean(spec, m, 200_000, seed=13)
+            assert convergence_report(est, exact.mean_float()).max_z <= 5
             vals, vecs = hermitian_eig(est.mean, tol=10 * est.stderr_max)
             dec = cluster_spectrum(vals, vecs, cluster_tol=10 * est.stderr_max)
-            table = sorted(bloch_family_table(m, u))
+            table = exact.spectrum()
             assert dec.multiplicities == tuple(k for _, k in table)
             for cl, (lam, _) in zip(dec.clusters, table):
-                assert abs(cl.value - lam) <= 5 * est.stderr_max
+                assert abs(cl.value - float(lam)) <= 5 * est.stderr_max
 
 
 def test_estimate_invariants():

@@ -13,12 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhomean.oracle
+from rhomean.families import bloch_family_eigenvalue_exact, spin_multiplicity
 from rhomean.fixtures import get_fixture
 from rhomean.linalg import DIM_CAP, Scenario, permutation_operator
-from rhomean.measures import RandomStream, sample_haar_unitary
+from rhomean.measures import (
+    BlochBallMeasure,
+    HaarDirichletMeasure,
+    ProductMeasure,
+    RandomStream,
+    sample_haar_unitary,
+)
 from rhomean.oracle import (
     composite_haar_mean,
     dirichlet_moment,
+    exact_mean,
     haar_mean,
     power_sum_moment,
     solve_rational_system,
@@ -66,25 +74,27 @@ def simplex_quadrature_moment(exponents, steps=400):
 
 
 def test_dirichlet_moment_uniform_simplex():
-    assert dirichlet_moment(3, 0, (1, 0, 0)) == F(1, 3)
-    assert dirichlet_moment(3, 0, (2, 0, 0)) == F(1, 6)
-    assert dirichlet_moment(3, 0, (3, 0, 0)) == F(1, 10)
+    q = (0, 0, 0)
+    assert dirichlet_moment(q, (1, 0, 0)) == F(1, 3)
+    assert dirichlet_moment(q, (2, 0, 0)) == F(1, 6)
+    assert dirichlet_moment(q, (3, 0, 0)) == F(1, 10)
     # independent quadrature oracle
     for k in [(2, 0, 0), (3, 0, 0), (1, 1, 0), (2, 1, 0)]:
         quad = simplex_quadrature_moment(k)
-        assert abs(float(dirichlet_moment(3, 0, k)) - quad) < 2e-4
+        assert abs(float(dirichlet_moment(q, k)) - quad) < 2e-4
 
 
 def test_dirichlet_moment_nonuniform_and_asymmetric():
     # N = 2, q = 1/2: e1 ~ Beta(1/2, 1/2), E[e1] = 1/2, E[e1^2] = 3/8
-    assert dirichlet_moment(2, F(1, 2), (1, 0)) == F(1, 2)
-    assert dirichlet_moment(2, F(1, 2), (2, 0)) == F(3, 8)
+    assert dirichlet_moment((F(1, 2), F(1, 2)), (1, 0)) == F(1, 2)
+    assert dirichlet_moment((F(1, 2), F(1, 2)), (2, 0)) == F(3, 8)
     # asymmetric exponents: alpha = (1, 1/2), E[e1] = alpha1/(alpha1+alpha2)
-    assert dirichlet_moment(2, [0, F(1, 2)], (1, 0)) == F(2, 3)
+    assert dirichlet_moment((0, F(1, 2)), (1, 0)) == F(2, 3)
+    # exponents reach the moments through the spec, which validates them
     with pytest.raises(ValueError):
-        dirichlet_moment(2, 1, (1, 0))
+        dirichlet_moment(HaarDirichletMeasure(2, 1).q, (1, 0))
     with pytest.raises(ValueError):
-        dirichlet_moment(2, 0, (1,))
+        dirichlet_moment(HaarDirichletMeasure(2, 0).q, (1,))
 
 
 @given(
@@ -93,13 +103,13 @@ def test_dirichlet_moment_nonuniform_and_asymmetric():
 )
 @settings(max_examples=40, deadline=None)
 def test_power_sum_moment_all_singletons_is_one(n, q):
-    assert power_sum_moment(n, q, tuple([1] * 4)) == 1
+    assert power_sum_moment(HaarDirichletMeasure(n, q), tuple([1] * 4)) == 1
 
 
 def test_power_sum_moment_examples():
-    assert power_sum_moment(2, 0, (2,)) == F(2, 3)
-    assert power_sum_moment(3, 0, (2,)) == F(1, 2)
-    assert power_sum_moment(3, 0, (2, 1)) == F(1, 2)
+    assert power_sum_moment(HaarDirichletMeasure(2, 0), (2,)) == F(2, 3)
+    assert power_sum_moment(HaarDirichletMeasure(3, 0), (2,)) == F(1, 2)
+    assert power_sum_moment(HaarDirichletMeasure(3, 0), (2, 1)) == F(1, 2)
     # quadrature oracle for E[p2 * p2] on the 2-simplex
     quad = sum(
         simplex_quadrature_moment(k) * c
@@ -108,7 +118,7 @@ def test_power_sum_moment_examples():
             ((2, 2, 0), 6),  # cross terms e_i^2 e_j^2
         ]
     )
-    assert abs(float(power_sum_moment(3, 0, (2, 2))) - quad) < 2e-4
+    assert abs(float(power_sum_moment(HaarDirichletMeasure(3, 0), (2, 2))) - quad) < 2e-4
 
 
 def test_haar_mean_matches_published_4x4():
@@ -348,7 +358,72 @@ def test_haar_mean_input_validation():
         haar_mean(1, 2, 0)
     with pytest.raises(ValueError):
         haar_mean(2, 2, 1)
+    # the cap applies where the matrix is built: 2^13 exceeds it, the spectrum does not
+    over = haar_mean(2, 13, 0)
+    assert sum(k for _, k in over.spectrum()) == 2**13
     with pytest.raises(ValueError):
-        haar_mean(2, 13, 0)  # exceeds the dimension cap
+        over.mean
     with pytest.raises(ValueError):
         composite_haar_mean(Scenario((2, 3), 5))  # 6^5 = 7776 exceeds it too
+
+
+def ks_spectrum(m, u):
+    """The closed-form Bloch-family table, merged by value, ascending."""
+    spec = {}
+    for d in range(m // 2 + 1):
+        v = bloch_family_eigenvalue_exact(m, d, u)
+        spec[v] = spec.get(v, 0) + spin_multiplicity(m, d)
+    return sorted(spec.items())
+
+
+def test_bloch_power_sum_moments():
+    # r^2 ~ Beta(3/2, 1-u): E[r^2] = 3/(5-2u), E[r^4] = 15/((5-2u)(7-2u))
+    law = BlochBallMeasure(u=-2)
+    assert power_sum_moment(law, (1, 1)) == 1
+    # p_2 = (1 + r^2)/2 and p_3 = (1 + 3 r^2)/4 are linear in r^2 ...
+    assert power_sum_moment(law, (2,)) == (1 + F(1, 3)) / 2 == power_sum_moment(
+        HaarDirichletMeasure(2, 0), (2,)
+    )
+    assert power_sum_moment(law, (3,)) == (1 + 3 * F(1, 3)) / 4
+    # ... p_2^2 is not: E[r^4] is 5/33 here, 1/5 on the uniform two-level simplex
+    assert power_sum_moment(law, (2, 2)) == (1 + 2 * F(1, 3) + F(5, 33)) / 4
+
+
+@given(
+    st.fractions(min_value=-5, max_value=F(11, 12), max_denominator=12),
+    st.integers(1, 8),
+)
+@settings(max_examples=25, deadline=None)
+def test_bloch_exact_mean_matches_closed_form_property(u, m):
+    result = exact_mean(BlochBallMeasure(u=u), m)
+    assert result.spectrum() == ks_spectrum(m, u)
+    assert result.trace() == 1
+
+
+def test_bloch_exact_mean_m2_entries():
+    mean = exact_mean(BlochBallMeasure(u=-2), 2).mean
+    assert {mean[0, 0], mean[1, 1], mean[1, 2]} == {F(5, 18), F(2, 9), F(1, 18)}
+
+
+def test_product_of_mixed_laws():
+    bloch, zhsl = BlochBallMeasure(u=-2), HaarDirichletMeasure(3)
+    result = exact_mean(ProductMeasure((bloch, zhsl)), 2)
+    assert result.scenario == Scenario(factors=(2, 3), power=2)
+    assert result.trace() == 1
+    product = {}
+    for v, k in exact_mean(bloch, 2).spectrum():
+        for w, j in exact_mean(zhsl, 2).spectrum():
+            product[v * w] = product.get(v * w, 0) + k * j
+    assert result.spectrum() == sorted(product.items())
+    # nested products flatten into the same power-major subsystem order
+    nested = exact_mean(ProductMeasure((ProductMeasure((bloch,)), zhsl)), 2)
+    assert np.all(nested.mean == result.mean)
+    # an artifact records Dirichlet exponents, so it holds no Bloch factor
+    from rhomean.jsonio import oracle_result_from_json, oracle_result_to_json
+
+    with pytest.raises(ValueError):
+        oracle_result_to_json(result)
+    both = ProductMeasure((ProductMeasure((HaarDirichletMeasure(2, F(1, 3)),)), zhsl))
+    back = oracle_result_from_json(oracle_result_to_json(exact_mean(both, 2)))
+    assert back.measure == ProductMeasure((HaarDirichletMeasure(2, F(1, 3)), zhsl))
+    assert np.all(back.mean == composite_haar_mean(Scenario((2, 3), 2), [F(1, 3), 0]).mean)

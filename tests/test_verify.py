@@ -67,3 +67,10 @@ def test_budget_defaults():
     b = Budget()
     assert b.n(123) == 123
     assert Budget(samples=7).n(123) == 7
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_budget_rejects_sample_counts_below_one(samples):
+    # 0 once read as "unset" and ran the full budget
+    with pytest.raises(ValueError):
+        Budget(samples=samples)
