@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -40,6 +41,20 @@ def _int_at_least(low: int):
 
 _positive_int = _int_at_least(1)
 _sample_count = _int_at_least(MIN_SAMPLES)
+
+
+def _finite_float(accept, what: str):
+    def real(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite {what}, got {text}")
+        return value
+
+    return real
+
+
+_tolerance = _finite_float(lambda x: x > 0, "float > 0")
+_nonzero_float = _finite_float(lambda x: x != 0, "nonzero float")
 
 
 def _parse_q(text: str):
@@ -196,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="clustered spectrum of a matrix JSON file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_spectrum)
 
@@ -209,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subst-v", help="evaluate a symbolic matrix at pi -> v")
     p.add_argument("--fixture")
     p.add_argument("--in", dest="infile")
-    p.add_argument("--v", type=float, required=True)
+    p.add_argument("--v", type=_nonzero_float, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_subst_v)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .measures import (
 from .montecarlo import MeanEstimate
 from .oracle import OracleResult
 from .spectral import SymbolicMatrix, substitute_v
-from .symmetry import class_representative, cycle_type, partitions
+from .symmetry import partitions
 
 
 def complex_matrix_to_json(mat: np.ndarray) -> dict:
@@ -163,59 +162,30 @@ def any_matrix_to_float(obj: dict) -> np.ndarray:
     return substitute_v(symbolic_matrix_from_json(obj), math.pi)
 
 
-# ---------------------------------------------------------------------------
-# permutations in cycle notation (1-based), e.g. "(12)(34)"; identity is "()".
-# Up to m = 9 every entry is one digit and entries are written side by side;
-# from m = 10 on they are comma-separated, e.g. "(1,2,10)".
-# ---------------------------------------------------------------------------
+def class_key(ct: tuple[int, ...]) -> str:
+    """Artifact key of a class of S_m: its representative in 1-based cycle notation.
 
-
-def perm_to_cycles(sigma: tuple[int, ...]) -> str:
-    m = len(sigma)
-    sep = "" if m <= 9 else ","
-    seen = [False] * m
-    parts = []
-    for start in range(m):
-        if seen[start] or sigma[start] == start:
-            seen[start] = True
-            continue
-        cyc = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j + 1)
-            j = sigma[j]
-        parts.append("(" + sep.join(str(x) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"
-
-
-def cycles_to_perm(text: str, m: int) -> tuple[int, ...]:
-    """Parse either cycle form; entries must be distinct and within 1..m."""
-    body = text.strip()
-    if not re.fullmatch(r"(\([0-9,]*\))*", body):
-        raise ValueError(f"malformed cycle notation: {text!r}")
-    perm = list(range(m))
-    seen: set[int] = set()
-    for cycle in re.findall(r"\(([0-9,]*)\)", body):
-        entries = [int(x) for x in (cycle.split(",") if "," in cycle else cycle)]
-        for x in entries:
-            if not 1 <= x <= m or x in seen:
-                raise ValueError(f"cycle entry {x} is out of range or repeated in {text!r}")
-            seen.add(x)
-        for a, b in zip(entries, entries[1:] + entries[:1]):
-            perm[a - 1] = b - 1
-    return tuple(perm)
+    The cycles fill consecutive slots, longest first, and fixed points are
+    left out, e.g. "()", "(12)", "(123)(45)".  Up to m = 9 the slots of a cycle
+    are written side by side; from m = 10 on they are comma-separated, e.g.
+    "(1,2,...,10)".
+    """
+    sep = "" if sum(ct) <= 9 else ","
+    parts, start = [], 1
+    for length in ct:
+        if length > 1:
+            parts.append("(" + sep.join(str(start + k) for k in range(length)) + ")")
+        start += length
+    return "".join(parts) or "()"
 
 
 def oracle_result_to_json(result: OracleResult) -> dict:
     """Oracle artifact; ``coefficients`` holds one entry per class of S_m.
 
-    Each class is keyed by its canonical representative in cycle notation
-    (consecutive slots, longest cycle first), e.g. "()", "(12)", "(123)(45)",
-    and ``"coefficients_form": "class"`` marks this schema.  Readers that
-    expect every sigma in S_m cannot read it.  ``"q"`` lists each factor's
-    Dirichlet exponents, so the law must be Haar x Dirichlet or a product of
-    such factors.
+    Each class is keyed by ``class_key`` of its cycle type, e.g. "()", "(12)",
+    "(123)(45)", and ``"coefficients_form": "class"`` marks this schema.
+    ``"q"`` lists each factor's Dirichlet exponents, so the law must be
+    Haar x Dirichlet or a product of such factors.
     """
     laws = factor_laws(result.measure)
     if not all(isinstance(f, HaarDirichletMeasure) for f in laws):
@@ -229,8 +199,7 @@ def oracle_result_to_json(result: OracleResult) -> dict:
     if result.class_coefficients is not None:
         out["coefficients_form"] = "class"
         out["coefficients"] = {
-            perm_to_cycles(class_representative(ct)): str(c)
-            for ct, c in sorted(result.class_coefficients.items())
+            class_key(ct): str(c) for ct, c in sorted(result.class_coefficients.items())
         }
     if result.factor_spectra is not None:
         out["factor_spectra"] = [
@@ -240,22 +209,15 @@ def oracle_result_to_json(result: OracleResult) -> dict:
 
 
 def _class_coefficients_from_json(coefficients: dict, m: int) -> dict[tuple[int, ...], Fraction]:
-    """One coefficient per cycle type, read from per-class or per-sigma keys.
-
-    Older artifacts list every sigma in S_m; they collapse by cycle type, and
-    a class whose permutations carry different values is rejected.
-    """
-    out: dict[tuple[int, ...], Fraction] = {}
-    for text, value in coefficients.items():
-        ct = cycle_type(cycles_to_perm(text, m))
-        c = Fraction(value)
-        if out.setdefault(ct, c) != c:
-            raise ValueError(f"class {ct} carries two coefficients, {out[ct]} and {c}")
-    types = sorted(partitions(m))
-    missing = [ct for ct in types if ct not in out]
+    """One coefficient per cycle type, each read from its ``class_key``."""
+    types = {class_key(ct): ct for ct in sorted(partitions(m))}
+    unknown = [text for text in coefficients if text not in types]
+    if unknown:
+        raise ValueError(f"{unknown} name no class of S_{m} by its canonical key")
+    missing = [ct for text, ct in types.items() if text not in coefficients]
     if missing:
         raise ValueError(f"no coefficient for the classes {missing}")
-    return {ct: out[ct] for ct in types}
+    return {ct: Fraction(coefficients[text]) for text, ct in types.items()}
 
 
 def oracle_result_from_json(obj: dict) -> OracleResult:
@@ -263,9 +225,7 @@ def oracle_result_from_json(obj: dict) -> OracleResult:
     m = obj["m"]
     coeffs = None
     if "coefficients" in obj:
-        # artifacts without the marker list every sigma in S_m; both forms
-        # collapse by cycle type
-        form = obj.get("coefficients_form", "class")
+        form = obj.get("coefficients_form")
         if form != "class":
             raise ValueError(f"unknown coefficients_form {form!r}")
         coeffs = _class_coefficients_from_json(obj["coefficients"], m)

@@ -126,12 +126,11 @@ def distinct_entries(seq) -> tuple[list, np.ndarray]:
 def permutation_rows(sigma: tuple[int, ...], n: int) -> np.ndarray:
     """Row index of the single 1 in each column of V_sigma on (C^n)^(x len(sigma)).
 
-    Column digit k (row-major mixed radix) moves to slot sigma[k], whose
-    stride is n^(m-1-sigma[k]).
+    Column digit k (row-major mixed radix) moves to slot sigma[k]: the same
+    axis transpose as ``reorder_subsystems``, applied to the row indices.
     """
     m = len(sigma)
-    digits = np.indices((n,) * m).reshape(m, n**m)
-    return (n ** (m - 1 - np.asarray(sigma))) @ digits
+    return np.arange(n**m).reshape((n,) * m).transpose(sigma).ravel()
 
 
 def permutation_operator(sigma: tuple[int, ...], n: int, m: int) -> np.ndarray:

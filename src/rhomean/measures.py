@@ -23,6 +23,7 @@ orthogonal-conjugation ensembles are deliberately not implemented.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import inf, prod
 from numbers import Real
@@ -66,6 +67,10 @@ class HaarDirichletMeasure:
     q: tuple | Real = ()
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"dimension must be an integer, got {self.n!r}") from None
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
         q = (self.q,) * self.n if isinstance(self.q, Real) else tuple(self.q) or (0.0,) * self.n
@@ -145,7 +150,10 @@ def measure_from_json(obj: dict) -> MeasureSpec:
     if kind in ("zhsl", "haar-dirichlet"):
         q = obj.get("q", 0.0)
         q = float(q) if isinstance(q, (int, float)) else tuple(float(x) for x in q)
-        return HaarDirichletMeasure(n=int(_field(obj, "n")), q=q)
+        n = _field(obj, "n")
+        if type(n) is not int:  # a JSON integer; not a float, string or boolean
+            raise ValueError(f"measure field 'n' must be an integer, got {n!r}")
+        return HaarDirichletMeasure(n=n, q=q)
     if kind == "bloch":
         return BlochBallMeasure(u=float(_field(obj, "u")))
     if kind == "product":

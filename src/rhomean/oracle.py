@@ -52,8 +52,8 @@ from .measures import (
 )
 from .symmetry import (
     character,
+    class_elements,
     class_size,
-    conjugacy_classes,
     partitions,
     symmetric_group_dimension,
     unitary_group_dimension,
@@ -189,17 +189,16 @@ class OracleResult:
         check_dim_cap(d)
         cols = np.arange(d)
         values, labels = [Fraction(0)], np.zeros(d * d, dtype=np.intp)
-        for ct, elems in conjugacy_classes(m).items():
-            a = self.class_coefficients[ct]
+        for ct, a in self.class_coefficients.items():
             if a == 0:  # the classes pinned to zero by the solve
                 continue
             counts = np.zeros(d * d, dtype=np.intp)
-            for sigma in elems:
+            for sigma in class_elements(ct):
                 # V_sigma is a permutation matrix: the indices are distinct
                 counts[permutation_rows(sigma, n) * d + cols] += 1
             # key label * base + count has the value values[label] + a * count; a
             # table over the small key range (values times |K| + 1) ranks the keys
-            base = len(elems) + 1
+            base = class_size(ct) + 1
             keys = labels * base + counts
             hit = np.zeros(len(values) * base, dtype=bool)
             hit[keys] = True

@@ -3,12 +3,19 @@
 Everything here is exact: partitions, cycle types, irreducible characters
 (Murnaghan-Nakayama), hook-length dimensions and the dimensions of the
 unitary-group representations that pair with them on (C^N)^(x m).  These are
-the ingredients needed to turn permutation-operator coefficients into exact
+the ingredients needed to turn class coefficients into exact
 eigenvalue/multiplicity tables.
+
+A conjugacy class of S_m is named by its cycle type, a partition of m.  The
+only place single permutations are needed is the oracle's matrix build, and
+``class_elements`` generates them one class at a time from the cycle type,
+never enumerating S_m.  ``cycle_type``, ``compose``, ``inverse`` and
+``identity`` act on single permutations; the tests use them as references.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -61,30 +68,31 @@ def identity(m: int) -> tuple[int, ...]:
     return tuple(range(m))
 
 
-def class_representative(ct: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation of cycle type ct whose cycles fill consecutive slots.
+def class_elements(ct: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Yield each of the |K| permutations of cycle type ct exactly once.
 
-    Longest cycle first, e.g. (3, 2) gives (123)(45) in 1-based cycle notation.
+    The cycle through the smallest free slot takes each distinct remaining
+    length once, and each ordered choice of its other slots; the rest of the
+    type is placed on the slots left free.  No other class of S_m is visited.
     """
-    perm: list[int] = []
-    for length in ct:
-        start = len(perm)
-        perm += [start + (k + 1) % length for k in range(length)]
-    return tuple(perm)
+    image = list(range(sum(ct)))
 
+    def fill(free: tuple[int, ...], lengths: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if not free:
+            yield tuple(image)
+            return
+        head, rest = free[0], free[1:]
+        for i, length in enumerate(lengths):
+            if length in lengths[:i]:
+                continue
+            for tail in permutations(rest, length - 1):
+                cycle = (head,) + tail
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    image[a] = b
+                left = tuple(x for x in rest if x not in tail)
+                yield from fill(left, lengths[:i] + lengths[i + 1 :])
 
-@lru_cache(maxsize=None)
-def conjugacy_classes(m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Map cycle type -> all permutations of S_m with that type.
-
-    Full enumeration of all m! permutations, cached per m (m = 9 takes about
-    a second).  The exact spectrum does not need it; the oracle's matrix
-    build does.
-    """
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for p in permutations(range(m)):
-        classes.setdefault(cycle_type(p), []).append(p)
-    return {ct: tuple(ps) for ct, ps in classes.items()}
+    yield from fill(tuple(image), tuple(ct))
 
 
 def class_size(ct: tuple[int, ...]) -> int:

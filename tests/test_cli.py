@@ -16,14 +16,13 @@ from rhomean.cli import main
 from rhomean.jsonio import (
     any_matrix_to_float,
     complex_matrix_from_json,
+    class_key,
     complex_matrix_to_json,
-    cycles_to_perm,
     estimate_from_json,
     estimate_to_json,
     load_json,
     oracle_result_from_json,
     oracle_result_to_json,
-    perm_to_cycles,
     rational_matrix_from_json,
     rational_matrix_to_json,
 )
@@ -31,7 +30,7 @@ from rhomean.montecarlo import estimate_mean
 from rhomean.measures import HaarDirichletMeasure
 from rhomean.linalg import distinct_entries
 from rhomean.oracle import haar_mean, labelled_kron
-from rhomean.symmetry import cycle_type
+from rhomean.symmetry import cycle_type, partitions
 
 DATA = Path(__file__).parent / "data"
 
@@ -42,32 +41,36 @@ def per_sigma(result):
     return {s: result.class_coefficients[cycle_type(s)] for s in permutations(range(m))}
 
 
-def test_cycle_notation_round_trip():
-    assert perm_to_cycles((0, 1, 2)) == "()"
-    assert perm_to_cycles((1, 0, 2)) == "(12)"
-    assert perm_to_cycles((1, 0, 3, 2)) == "(12)(34)"
-    for m in (2, 3, 4):
-        from itertools import permutations
+def key_permutation(key, m):
+    """The permutation a cycle-notation key names, read back as 0-based images."""
+    perm = list(range(m))
+    for body in key[1:-1].split(")(") if key != "()" else ():
+        slots = [int(x) - 1 for x in (body.split(",") if m >= 10 else body)]
+        for a, b in zip(slots, slots[1:] + slots[:1]):
+            perm[a] = b
+    return tuple(perm)
 
-        for p in permutations(range(m)):
-            assert cycles_to_perm(perm_to_cycles(p), m) == p
+
+def test_cycle_notation_round_trip():
+    assert class_key((1, 1, 1)) == "()"
+    assert class_key((2, 1)) == "(12)"
+    assert class_key((2, 2)) == "(12)(34)"
+    assert class_key((3, 2)) == "(123)(45)"
+    # each key names a permutation of its own class, so the reader's
+    # key -> class map is one to one
+    for m in range(1, 10):
+        for ct in partitions(m):
+            assert cycle_type(key_permutation(class_key(ct), m)) == ct
 
 
 def test_cycle_notation_beyond_nine_slots():
-    import random
-
-    gen = random.Random(0)
+    assert class_key((10,)) == "(1,2,3,4,5,6,7,8,9,10)"
+    assert class_key((2,) + (1,) * 8) == "(1,2)"
+    assert class_key((6, 3, 1)) == "(1,2,3,4,5,6)(7,8,9)"
+    assert class_key((1,) * 10) == "()"
     for m in (10, 12):
-        for _ in range(200):
-            p = list(range(m))
-            gen.shuffle(p)
-            assert cycles_to_perm(perm_to_cycles(tuple(p)), m) == tuple(p)
-    ten_cycle = tuple(range(1, 10)) + (0,)
-    assert perm_to_cycles(ten_cycle) == "(1,2,3,4,5,6,7,8,9,10)"
-    assert perm_to_cycles((1, 0) + tuple(range(2, 10))) == "(1,2)"
-    for bad in ("(1,11)", "(0,1)", "(1,2)(2,3)", "(1,1)", "(12)(13)", "(12", "1,2"):
-        with pytest.raises(ValueError):
-            cycles_to_perm(bad, 10)
+        for ct in partitions(m):
+            assert cycle_type(key_permutation(class_key(ct), m)) == ct
 
 
 def test_oracle_artifact_round_trips_at_ten_slots():
@@ -85,7 +88,7 @@ def test_oracle_artifact_round_trips_at_ten_slots():
         scenario=Scenario(factors=(2,), power=10),
         measure=HaarDirichletMeasure(n=2),
         class_coefficients=class_coefficients,
-        # a labelled stand-in: the build at D = 1024 would enumerate all of S_10
+        # a labelled stand-in: these coefficients are no law's mean
         matrix=([Fraction(1, 1024)], np.zeros((1, 1), dtype=np.intp)),
     )
     payload = oracle_result_to_json(result)
@@ -111,25 +114,30 @@ def test_oracle_artifact_keys_one_coefficient_per_class():
     assert back.spectrum() == result.spectrum()
 
 
-def test_oracle_artifact_reads_every_sigma_form():
+def test_oracle_artifact_reads_only_class_keys():
     result = haar_mean(3, 3, 0)
-    payload = oracle_result_to_json(result)
-    # the earlier schema listed every sigma in S_m and had no form marker
-    del payload["coefficients_form"]
-    payload["coefficients"] = {perm_to_cycles(s): str(c) for s, c in per_sigma(result).items()}
-    assert len(payload["coefficients"]) == 6
-    back = oracle_result_from_json(json.loads(json.dumps(payload)))
-    assert back.class_coefficients == result.class_coefficients
-    assert per_sigma(back) == per_sigma(result)
+    payload = json.loads(json.dumps(oracle_result_to_json(result)))
+    assert oracle_result_from_json(payload).class_coefficients == result.class_coefficients
+    # the schema that listed every sigma in S_m, with no form marker, is not read
+    sigma_form = {k: v for k, v in payload.items() if k != "coefficients_form"}
+    sigma_form["coefficients"] = {
+        "()": "1/10", "(12)": "1/30", "(13)": "1/30", "(23)": "1/30", "(123)": "0", "(132)": "0",
+    }
+    with pytest.raises(ValueError, match="unknown coefficients_form"):
+        oracle_result_from_json(sigma_form)
     with pytest.raises(ValueError, match="unknown coefficients_form"):
         oracle_result_from_json({**payload, "coefficients_form": "orbit"})
-    # two transpositions with different values are no class function
-    payload["coefficients"]["(13)"] = "1/7"
-    with pytest.raises(ValueError, match="two coefficients"):
-        oracle_result_from_json(payload)
-    del payload["coefficients"]["(12)"], payload["coefficients"]["(13)"], payload["coefficients"]["(23)"]
+    # a key that is not the canonical representative of its class
+    noncanonical = dict(payload["coefficients"])
+    noncanonical["(13)"] = noncanonical.pop("(12)")
+    with pytest.raises(ValueError, match="canonical key"):
+        oracle_result_from_json({**payload, "coefficients": noncanonical})
+    extra = {**payload["coefficients"], "(13)": payload["coefficients"]["(12)"]}
+    with pytest.raises(ValueError, match="canonical key"):
+        oracle_result_from_json({**payload, "coefficients": extra})
+    missing = {k: v for k, v in payload["coefficients"].items() if k != "(123)"}
     with pytest.raises(ValueError, match="no coefficient"):
-        oracle_result_from_json(payload)
+        oracle_result_from_json({**payload, "coefficients": missing})
 
 
 def test_matrix_json_round_trips():
@@ -345,7 +353,6 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
         main(["oracle", "--m", "2"])  # missing --n
     assert exc.value.code == 2
     assert main(["oracle", "--n", "2", "--m", "2", "--q", "1"]) == 1  # q >= 1
-    assert main(["subst-v", "--fixture", "n3m2", "--v", "0"]) == 1
     assert main(["verify"]) == 2
     assert main(["ks", "--m", "2", "--u", "0", "--d", "-1"]) == 2
     assert main(["ks", "--m", "5", "--u", "0", "--d", "3"]) == 2
@@ -370,6 +377,14 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
         # below the estimator's minimum sample count, and a spin label out of range
         mean[:-1] + ["50"],
         ["verify", "--case", "mc.n3m2", "--samples", "99"],
+        # a cluster tolerance is finite and > 0, a substitution parameter finite and nonzero
+        ["spectrum", "--in", "x.json", "--tol=nan"],
+        ["spectrum", "--in", "x.json", "--tol=inf"],
+        ["spectrum", "--in", "x.json", "--tol=-1"],
+        ["spectrum", "--in", "x.json", "--tol=0"],
+        ["subst-v", "--fixture", "n3m2", "--v", "0"],
+        ["subst-v", "--fixture", "n3m2", "--v=nan"],
+        ["subst-v", "--fixture", "n3m2", "--v=-inf"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -389,6 +404,10 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
     monkeypatch.delenv("RHOMEAN_WORKERS")
     assert main(["sample", "--measure", '{"type":"zhsl"}']) == 1  # no "n"
     assert "'n'" in capsys.readouterr().err
+    # the dimension is a JSON integer: neither a float, nor a string, nor a boolean
+    for n in ("2.7", '"3"', "true"):
+        assert main(["sample", "--measure", '{"type":"zhsl","n":%s}' % n]) == 1, n
+        assert "'n'" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -176,6 +176,15 @@ def test_measure_json_round_trip():
         HaarDirichletMeasure(n=2, q=(1.0, 0.0))
     with pytest.raises(ValueError):
         BlochBallMeasure(u=1.0)
+    # the dimension is an integer; an index-like one is stored as an int
+    for n in (2.7, 3.0, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            HaarDirichletMeasure(n=n)
+        with pytest.raises(ValueError, match="integer"):
+            measure_from_json({"type": "zhsl", "n": n})
+    with pytest.raises(ValueError, match="integer"):
+        measure_from_json({"type": "zhsl", "n": True})
+    assert type(HaarDirichletMeasure(n=np.int64(3)).n) is int
 
 
 def test_spec_stores_exponents_as_given_and_rejects_non_finite_ones():

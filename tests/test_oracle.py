@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import rhomean.oracle
 from rhomean.families import bloch_family_eigenvalue_exact, spin_multiplicity
 from rhomean.fixtures import get_fixture
-from rhomean.linalg import DIM_CAP, Scenario, permutation_operator
+from rhomean.linalg import DIM_CAP, Scenario, hermitian_eig, permutation_operator
 from rhomean.measures import (
     BlochBallMeasure,
     HaarDirichletMeasure,
@@ -31,7 +31,8 @@ from rhomean.oracle import (
     power_sum_moment,
     solve_rational_system,
 )
-from rhomean.symmetry import cycle_type, partitions
+from rhomean.spectral import cluster_spectrum
+from rhomean.symmetry import class_elements, cycle_type, partitions
 
 
 def per_sigma(result):
@@ -192,19 +193,16 @@ def test_mean_is_unitarily_invariant():
 
 
 def test_mean_commutes_with_slot_permutations():
-    from rhomean.symmetry import conjugacy_classes
-
     result = haar_mean(3, 3, 0)
     mean_f = result.mean.astype(np.float64)
     for sigma in permutations(range(3)):
         v = permutation_operator(sigma, 3, 3)
         assert np.abs(v @ mean_f @ v.T - mean_f).max() == 0.0
     # coefficients are class functions
-    classes = conjugacy_classes(3)
     coefficients = per_sigma(result)
-    for elems in classes.values():
-        coeffs = {coefficients[s] for s in elems}
-        assert len(coeffs) == 1
+    for ct in partitions(3):
+        coeffs = {coefficients[s] for s in class_elements(ct)}
+        assert coeffs == {result.class_coefficients[ct]}
 
 
 def test_dependent_permutation_operators_still_solve():
@@ -229,10 +227,10 @@ def test_dependent_permutation_operators_still_solve():
 def test_spectrum_needs_neither_matrix_nor_enumeration(monkeypatch, n, m, q):
     want = haar_mean(n, m, q).spectrum()
 
-    def refuse(m):
-        raise AssertionError("S_m enumerated")
+    def refuse(ct):
+        raise AssertionError("class elements generated")
 
-    monkeypatch.setattr(rhomean.oracle, "conjugacy_classes", refuse)
+    monkeypatch.setattr(rhomean.oracle, "class_elements", refuse)
     result = haar_mean(n, m, q)
     assert result.spectrum() == want
     assert "labelled" not in result.__dict__ and "mean" not in result.__dict__
@@ -266,6 +264,21 @@ def test_labelled_build_matches_per_sigma_reference(n, m, q):
     assert labels.shape == (n**m, n**m) and labels.dtype == np.intp
     assert labels.min() >= 0 and labels.max() < len(values)
     assert np.all(reconstruct(result) == np.array(values, dtype=object)[labels])
+
+
+def test_mean_at_ten_slots_matches_its_spectrum():
+    # S_10 has 3.6 M elements; the build generates only the 9,496 of the
+    # classes the solve keeps, and the gathered matrix must carry the
+    # multiplicities the character system gives
+    result = haar_mean(2, 10, 0)
+    values, labels = result.labelled
+    assert result.trace() == 1
+    assert np.array_equal(labels, labels.T)
+    vals, vecs = hermitian_eig(result.mean_float())
+    dec = cluster_spectrum(vals, vecs, cluster_tol=1e-9)
+    spec = result.spectrum()
+    assert dec.stable and [c.multiplicity for c in dec.clusters] == [k for _, k in spec]
+    assert np.allclose([c.value for c in dec.clusters], [float(v) for v, _ in spec], rtol=0, atol=1e-12)
 
 
 def _partial_trace_last(mean, n):

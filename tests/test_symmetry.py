@@ -1,14 +1,15 @@
 """Partitions, characters and dimension formulas, checked against first principles."""
 
+from itertools import permutations
 from math import factorial
 
 import pytest
 
 from rhomean.symmetry import (
     character,
+    class_elements,
     class_size,
     compose,
-    conjugacy_classes,
     cycle_type,
     identity,
     inverse,
@@ -35,10 +36,18 @@ def test_cycle_type_and_compose():
 
 def test_class_sizes_sum_to_group_order():
     for m in range(2, 7):
-        classes = conjugacy_classes(m)
-        assert sum(len(v) for v in classes.values()) == factorial(m)
-        for ct, elems in classes.items():
-            assert class_size(ct) == len(elems)
+        assert sum(class_size(ct) for ct in partitions(m)) == factorial(m)
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_class_elements_partition_the_group(m):
+    union = []
+    for ct in partitions(m):
+        elems = list(class_elements(ct))
+        assert len(elems) == len(set(elems)) == class_size(ct)
+        assert all(cycle_type(p) == ct for p in elems)
+        union += elems
+    assert sorted(union) == list(permutations(range(m)))
 
 
 def test_s3_character_table():
@@ -63,13 +72,11 @@ def test_s4_character_table_spot():
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_character_orthogonality(m):
-    classes = conjugacy_classes(m)
     lams = partitions(m)
     for i, l1 in enumerate(lams):
         for l2 in lams[i:]:
             total = sum(
-                len(elems) * character(l1, ct) * character(l2, ct)
-                for ct, elems in classes.items()
+                class_size(ct) * character(l1, ct) * character(l2, ct) for ct in lams
             )
             assert total == (factorial(m) if l1 == l2 else 0)
 
