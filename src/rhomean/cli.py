@@ -7,7 +7,6 @@ verification cases), 2 usage error (argparse's convention).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -79,8 +78,7 @@ def _emit(obj: dict, out: str | None) -> None:
     if out:
         jsonio.dump_json(obj, out)
     else:
-        json.dump(obj, sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(jsonio.dumps_json(obj))
 
 
 def cmd_sample(args) -> int:

@@ -13,6 +13,10 @@ exact readers and writers work on the labelled form (values, labels) of
 value is formatted once, and entries are gathered by the integer labels.  An
 oracle artifact is written from and read back into that form, with no dense
 Fraction matrix in between.
+
+Artifacts keep the bytes of ``json.dumps(obj, indent=1, sort_keys=True)`` plus
+a newline.  ``dumps_json`` writes them with the C string encoder, once per
+distinct string of a list, instead of the stdlib's pure-Python indent encoder.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -89,13 +94,13 @@ def rational_matrix_to_json(mat: np.ndarray) -> dict:
     return labelled_matrix_to_json(values, index.reshape(mat.shape))
 
 
-def _rational(text) -> Fraction:
+def _rational(text, what: str = "rational entry") -> Fraction:
     if not isinstance(text, str):
-        raise ValueError(f"rational entry {text!r} is not a 'p/q' string")
+        raise ValueError(f"{what} {text!r} is not a 'p/q' string")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"rational entry {text!r} is not a rational p/q with q != 0") from None
+        raise ValueError(f"{what} {text!r} is not a rational p/q with q != 0") from None
 
 
 def _labelled_rationals(rows: int, cols: int, texts: list) -> tuple[list[Fraction], np.ndarray]:
@@ -217,12 +222,29 @@ def _class_coefficients_from_json(coefficients: dict, m: int) -> dict[tuple[int,
     missing = [ct for text, ct in types.items() if text not in coefficients]
     if missing:
         raise ValueError(f"no coefficient for the classes {missing}")
-    return {ct: Fraction(coefficients[text]) for text, ct in types.items()}
+    return {
+        ct: _rational(coefficients[text], f"'coefficients'[{text!r}]")
+        for text, ct in types.items()
+    }
+
+
+def _json_int(value, name: str) -> int:
+    if type(value) is not int:  # a JSON integer; not a float, string or boolean
+        raise ValueError(f"oracle artifact field {name!r} holds {value!r}, not an integer")
+    return value
+
+
+def _list_of_lists(value, name: str) -> list:
+    if not (isinstance(value, list) and all(isinstance(x, list) for x in value)):
+        raise ValueError(f"oracle artifact field {name!r} is {value!r}, not a list of lists")
+    return value
 
 
 def oracle_result_from_json(obj: dict) -> OracleResult:
-    factors = tuple(obj["factors"])
-    m = obj["m"]
+    factors = obj["factors"]
+    if not (isinstance(factors, list) and all(type(n) is int for n in factors)):
+        raise ValueError(f"oracle artifact field 'factors' is {factors!r}, not a list of integers")
+    factors, m = tuple(factors), _json_int(obj["m"], "m")
     coeffs = None
     if "coefficients" in obj:
         form = obj.get("coefficients_form")
@@ -232,11 +254,15 @@ def oracle_result_from_json(obj: dict) -> OracleResult:
     factor_spectra = None
     if "factor_spectra" in obj:
         factor_spectra = tuple(
-            tuple((Fraction(v), mult) for v, mult in spec) for spec in obj["factor_spectra"]
+            tuple(
+                (_rational(v, "'factor_spectra' value"), _json_int(mult, "factor_spectra"))
+                for v, mult in _list_of_lists(spec, "factor_spectra")
+            )
+            for spec in _list_of_lists(obj["factor_spectra"], "factor_spectra")
         )
     laws = [
-        HaarDirichletMeasure(n, tuple(Fraction(x) for x in qs))
-        for n, qs in zip(factors, obj["q"], strict=True)
+        HaarDirichletMeasure(n, tuple(_rational(x, "'q' entry") for x in qs))
+        for n, qs in zip(factors, _list_of_lists(obj["q"], "q"), strict=True)
     ]
     return OracleResult(
         scenario=Scenario(factors=factors, power=m),
@@ -278,8 +304,35 @@ def estimate_from_json(obj: dict) -> MeanEstimate:
     )
 
 
+def _indented(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=1, sort_keys=True)``, nested at prefix ``indent``."""
+    inner = indent + " "
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError(f"JSON object keys must be str, got {list(obj)!r}")
+        brackets = "{}"
+        items = (_quote(key) + ": " + _indented(obj[key], inner) for key in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        try:  # all strings (matrix entries): quote each distinct string once
+            memo = {text: _quote(text) for text in dict.fromkeys(obj)}
+            items = map(memo.__getitem__, obj)
+        except TypeError:  # a number, or an unhashable pair or object
+            items = (_indented(x, inner) for x in obj)
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def dumps_json(obj) -> str:
+    """Artifact text: ``json.dumps(obj, indent=1, sort_keys=True) + "\\n"``, byte for byte."""
+    return _indented(obj, "") + "\n"
+
+
 def dump_json(obj: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    Path(path).write_text(dumps_json(obj))
 
 
 def load_json(path: str | Path) -> dict:

@@ -116,11 +116,8 @@ def distinct_entries(seq) -> tuple[list, np.ndarray]:
     distinct values, can be parsed, converted or multiplied once per value
     and then gathered with ``np.array(values, dtype=object)[index]``.
     """
-    first: dict = {}
-    index = np.fromiter(
-        (first.setdefault(x, len(first)) for x in seq), dtype=np.intp, count=len(seq)
-    )
-    return list(first), index
+    first = {x: i for i, x in enumerate(dict.fromkeys(seq))}
+    return list(first), np.fromiter(map(first.__getitem__, seq), np.intp, len(seq))
 
 
 def permutation_rows(sigma: tuple[int, ...], n: int) -> np.ndarray:

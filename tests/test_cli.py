@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhomean import jsonio
 from rhomean.cli import main
 from rhomean.jsonio import (
     any_matrix_to_float,
     complex_matrix_from_json,
     class_key,
     complex_matrix_to_json,
+    dumps_json,
     estimate_from_json,
     estimate_to_json,
     load_json,
@@ -140,6 +142,31 @@ def test_oracle_artifact_reads_only_class_keys():
         oracle_result_from_json({**payload, "coefficients": missing})
 
 
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("coefficients", {"()": 0.1, "(12)": "0"}, "'coefficients'['()'] 0.1"),
+        ("coefficients", {"()": "1/10", "(12)": 0}, "'coefficients'['(12)'] 0"),
+        ("q", None, "'q'"),
+        ("q", [[None, "0"]], "'q' entry None"),
+        ("q", [[0.5, "0"]], "'q' entry 0.5"),
+        ("m", 2.0, "'m'"),
+        ("m", True, "'m'"),
+        ("factors", [2.0], "'factors'"),
+        ("factors", [True], "'factors'"),
+        ("factors", 2, "'factors'"),
+        ("factor_spectra", [[[0.5, 1]]], "'factor_spectra' value 0.5"),
+        ("factor_spectra", [[["1/2", 1.0]]], "'factor_spectra'"),
+        ("factor_spectra", [None], "'factor_spectra'"),
+    ],
+)
+def test_oracle_artifact_rejects_mistyped_fields(field, value, named):
+    payload = json.loads(json.dumps(oracle_result_to_json(haar_mean(2, 2, 0))))
+    with pytest.raises(ValueError) as exc:
+        oracle_result_from_json({**payload, field: value})
+    assert named in str(exc.value)
+
+
 def test_matrix_json_round_trips():
     mat = np.array([[1 + 2j, 0], [0.5j, -1]])
     assert np.array_equal(complex_matrix_from_json(complex_matrix_to_json(mat)), mat)
@@ -237,6 +264,71 @@ def test_oracle_artifact_matches_golden_bytes(tmp_path, argv, golden):
     out = tmp_path / golden
     assert main(["oracle", *argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_oracle_stdout_matches_golden_bytes(capsys):
+    # stdout and --out share one writer
+    assert main(["oracle", "--n", "3", "--m", "3", "--q=-1/2"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "oracle_n3_m3_q-1_2.json").read_bytes()
+
+
+# strings that the encoder escapes: quotes, backslashes, control and non-ASCII
+# characters, including astral ones that become surrogate pairs
+_json_text = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀'), st.characters()), max_size=6
+)
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(),  # includes -0.0, nan and +-inf
+        _json_text,
+        st.lists(_json_text, max_size=5),  # the emitter's all-strings path
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_json_text, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_emitter_matches_stdlib_indent_1(value):
+    assert dumps_json(value) == json.dumps(value, indent=1, sort_keys=True) + "\n"
+
+
+def test_emitter_rejects_non_string_keys():
+    with pytest.raises(TypeError, match="keys must be str"):
+        dumps_json({"a": {1: "x"}})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--n", "4", "--m", "4"],
+        ["mean", "--measure", '{"type":"zhsl","n":2}', "--m", "2", "--samples", "1000",
+         "--workers", "1"],
+        ["ks", "--m", "6", "--u=-1/2"],
+        ["verify", "--case", "n2m2.exact"],
+    ],
+)
+def test_writers_give_the_stdlib_indent_1_bytes(tmp_path, monkeypatch, argv):
+    written = []
+    dump_json = jsonio.dump_json
+
+    def recording_dump_json(obj, path):
+        written.append(obj)
+        dump_json(obj, path)
+
+    monkeypatch.setattr(jsonio, "dump_json", recording_dump_json)
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    (payload,) = written
+    assert out.read_bytes() == (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
 
 
 def test_ks_command(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Tensor-space operations: conventions pinned by the published fixtures."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rhomean.linalg import (
     Scenario,
     bloch_density,
     check_dim_cap,
+    distinct_entries,
     hermitian_eig,
     partial_trace,
     permutation_operator,
@@ -192,3 +194,26 @@ def test_scenario():
         Scenario(factors=(2,), power=0)
     with pytest.raises(ValueError):
         check_dim_cap(Scenario(factors=(8,), power=5).dim)
+
+
+def setdefault_labels(seq):
+    """Reference labeller: one dict.setdefault per entry, first-seen order."""
+    first: dict = {}
+    index = [first.setdefault(x, len(first)) for x in seq]
+    return list(first), index
+
+
+# equal values of different types hash alike, so which one is seen first
+# decides the stored value: Fraction(1, 2) == 0.5 and 1 == True == 1.0
+_equal_values = st.sampled_from([Fraction(1, 2), 0.5, 1, True, 1.0, Fraction(1), 0, False, -0.0])
+_entries = st.one_of(_equal_values, st.fractions(-2, 2, max_denominator=6), st.text(max_size=2))
+
+
+@given(st.lists(_entries))
+@settings(max_examples=200, deadline=None)
+def test_distinct_entries_matches_setdefault_loop(seq):
+    values, index = distinct_entries(seq)
+    ref_values, ref_index = setdefault_labels(seq)
+    assert values == ref_values
+    assert [type(v) for v in values] == [type(v) for v in ref_values]
+    assert index.dtype == np.intp and index.tolist() == ref_index
