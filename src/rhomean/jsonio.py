@@ -240,11 +240,17 @@ def _list_of_lists(value, name: str) -> list:
     return value
 
 
+def _field(obj: dict, name: str):
+    if name not in obj:
+        raise ValueError(f"oracle artifact lacks the field {name!r}")
+    return obj[name]
+
+
 def oracle_result_from_json(obj: dict) -> OracleResult:
-    factors = obj["factors"]
+    factors = _field(obj, "factors")
     if not (isinstance(factors, list) and all(type(n) is int for n in factors)):
         raise ValueError(f"oracle artifact field 'factors' is {factors!r}, not a list of integers")
-    factors, m = tuple(factors), _json_int(obj["m"], "m")
+    factors, m = tuple(factors), _json_int(_field(obj, "m"), "m")
     coeffs = None
     if "coefficients" in obj:
         form = obj.get("coefficients_form")
@@ -260,16 +266,19 @@ def oracle_result_from_json(obj: dict) -> OracleResult:
             )
             for spec in _list_of_lists(obj["factor_spectra"], "factor_spectra")
         )
+    q = _list_of_lists(_field(obj, "q"), "q")
+    if len(q) != len(factors):
+        raise ValueError(f"oracle artifact field 'q' has {len(q)} rows for {len(factors)} factors")
     laws = [
         HaarDirichletMeasure(n, tuple(_rational(x, "'q' entry") for x in qs))
-        for n, qs in zip(factors, _list_of_lists(obj["q"], "q"), strict=True)
+        for n, qs in zip(factors, q)
     ]
     return OracleResult(
         scenario=Scenario(factors=factors, power=m),
         measure=laws[0] if len(laws) == 1 else ProductMeasure(tuple(laws)),
         class_coefficients=coeffs,
         factor_spectra=factor_spectra,
-        matrix=_labelled_rationals(*_check_entry_count(obj["matrix"])),
+        matrix=_labelled_rationals(*_check_entry_count(_field(obj, "matrix"))),
     )
 
 

@@ -150,6 +150,8 @@ def test_oracle_artifact_reads_only_class_keys():
         ("q", None, "'q'"),
         ("q", [[None, "0"]], "'q' entry None"),
         ("q", [[0.5, "0"]], "'q' entry 0.5"),
+        ("q", [], "'q' has 0 rows for 1 factors"),
+        ("q", [["0", "0"], ["0", "0"]], "'q' has 2 rows for 1 factors"),
         ("m", 2.0, "'m'"),
         ("m", True, "'m'"),
         ("factors", [2.0], "'factors'"),
@@ -165,6 +167,14 @@ def test_oracle_artifact_rejects_mistyped_fields(field, value, named):
     with pytest.raises(ValueError) as exc:
         oracle_result_from_json({**payload, field: value})
     assert named in str(exc.value)
+
+
+@pytest.mark.parametrize("field", ["factors", "m", "q", "matrix"])
+def test_oracle_artifact_rejects_missing_fields(field):
+    payload = json.loads(json.dumps(oracle_result_to_json(haar_mean(2, 2, 0))))
+    del payload[field]
+    with pytest.raises(ValueError, match=f"lacks the field '{field}'"):
+        oracle_result_from_json(payload)
 
 
 def test_matrix_json_round_trips():

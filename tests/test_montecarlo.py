@@ -32,6 +32,7 @@ from rhomean.oracle import composite_haar_mean, exact_mean, haar_mean
 from rhomean.linalg import Scenario, permutation_operator, tensor_power
 
 PAIR_22 = ProductMeasure(factors=(HaarDirichletMeasure(n=2), HaarDirichletMeasure(n=2)))
+PAIR_23 = ProductMeasure(factors=(HaarDirichletMeasure(n=2), HaarDirichletMeasure(n=3)))
 
 
 def test_single_power_mean_is_fully_mixed():
@@ -150,6 +151,70 @@ def test_monomial_table_counts_distinct_entries(dim, m, expected):
     rho = np.arange(1, dim * dim + 1, dtype=float).reshape(dim, dim) / (dim * dim)
     products = np.prod(rho.reshape(-1)[pairs], axis=1)
     assert np.allclose(products[index].reshape(dim**m, dim**m), tensor_power(rho, m))
+
+
+def _one_shot_index(dim, m):
+    """Every entry's digits at once, ranked with np.unique: the reference for
+    the row-blocked index of ``monomial_table``."""
+    digits = np.indices((dim,) * (2 * m), dtype=np.int32).reshape(2 * m, -1)
+    codes = np.sort((digits[:m] * dim + digits[m:]).T, axis=1)
+    weights = (dim * dim) ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    _, index = np.unique(codes @ weights, return_inverse=True)
+    return index
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["default-blocks", "one-row-blocks"])
+@pytest.mark.parametrize("dim, m", [(2, 1), (2, 4), (3, 4), (2, 6), (6, 2), (2, 8)])
+def test_monomial_index_matches_one_shot_reference(dim, m, block_bytes, monkeypatch):
+    if block_bytes is not None:
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
+    _, index = monomial_table.__wrapped__(dim, m)
+    reference = _one_shot_index(dim, m)
+    assert index.dtype == reference.dtype and index.shape == reference.shape
+    assert np.array_equal(index, reference)
+
+
+def _one_shot_chunk_stats(args):
+    """The chunk reduction over all monomials in one (count, M) array: the
+    reference the blocked ``_chunk_stats`` must equal bit for bit."""
+    spec, m, seed, chunk_index, count = args
+    gen = RandomStream(seed, chunk_index).generator()
+    flat = sample_density_batch(spec, count, gen).reshape(count, -1)
+    pairs = monomial_pairs(spec.dim, m)
+    power = flat[:, pairs[:, 0]]
+    for k in range(1, m):
+        power *= flat[:, pairs[:, k]]
+    mean = power.mean(axis=0)
+    m2_re = np.square(power.real - mean.real).sum(axis=0)
+    m2_im = np.square(power.imag - mean.imag).sum(axis=0)
+    return count, mean, m2_re, m2_im
+
+
+@pytest.mark.parametrize("width", [None, 1, 2, 7, 10**6], ids=lambda w: f"width-{w or 'default'}")
+@pytest.mark.parametrize(
+    "spec, m, count, split",
+    [
+        (BlochBallMeasure(u=-2.0), 4, 7812, True),
+        (PAIR_23, 2, 1543, True),
+        (HaarDirichletMeasure(n=3), 1, 8192, True),
+        (HaarDirichletMeasure(n=3), 2, 8192, True),
+        (HaarDirichletMeasure(n=2), 2, 100, False),
+    ],
+    ids=["bloch-m4", "2x3-m2", "zhsl-n3m1", "zhsl-n3m2", "one-block"],
+)
+def test_blocked_chunk_stats_match_one_shot_bitwise(spec, m, count, split, width, monkeypatch):
+    n_monomials = len(monomial_pairs(spec.dim, m))
+    if width is None:
+        # the module's own block width, which splits all but the last case
+        width = max(1, montecarlo.BLOCK_BYTES // (16 * count))
+        assert (width < n_monomials) == split
+    else:
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 16 * count * width)
+    args = (spec, m, 17, 3, count)
+    got, want = _chunk_stats(args), _one_shot_chunk_stats(args)
+    assert got[0] == want[0] == count
+    for name, a, b in zip(("mean", "M2_re", "M2_im"), got[1:], want[1:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def _assert_same_estimate(a, b):
