@@ -150,8 +150,6 @@ def test_oracle_artifact_reads_only_class_keys():
         ("q", None, "'q'"),
         ("q", [[None, "0"]], "'q' entry None"),
         ("q", [[0.5, "0"]], "'q' entry 0.5"),
-        ("q", [], "'q' has 0 rows for 1 factors"),
-        ("q", [["0", "0"], ["0", "0"]], "'q' has 2 rows for 1 factors"),
         ("m", 2.0, "'m'"),
         ("m", True, "'m'"),
         ("factors", [2.0], "'factors'"),
@@ -160,6 +158,8 @@ def test_oracle_artifact_reads_only_class_keys():
         ("factor_spectra", [[[0.5, 1]]], "'factor_spectra' value 0.5"),
         ("factor_spectra", [[["1/2", 1.0]]], "'factor_spectra'"),
         ("factor_spectra", [None], "'factor_spectra'"),
+        ("q", [], "'q' has 0 rows for 1 factors"),
+        ("q", [["0", "0"], ["0", "0"]], "'q' has 2 rows for 1 factors"),
     ],
 )
 def test_oracle_artifact_rejects_mistyped_fields(field, value, named):
