@@ -6,12 +6,17 @@ Three sampling laws are supported:
   eigenvalues Dirichlet on the simplex with exponents -q_i (q = 0 means the
   uniform simplex); rho = U diag(e) U+.  Serialized with JSON tag "zhsl".
   U comes from complex Ginibre columns orthonormalized by Gram-Schmidt, run
-  twice, and rho is formed as the projector sum
+  twice, in real arithmetic, and rho is formed as the projector sum
   e_N I + sum_{j<N} (e_j - e_N) q_j q_j+, so only N - 1 columns are built.
+  Entries below the diagonal are the conjugates of those above: every draw
+  is exactly Hermitian.
 * ``BlochBallMeasure`` -- 2x2 states with a uniformly random Bloch direction
   and radial law r^2 (1-r^2)^(-u) dr, i.e. r^2 ~ Beta(3/2, 1-u).  u = 1/2 is
   the normalized Bures volume element.
 * ``ProductMeasure`` -- statistically independent factors, tensored in order.
+
+A batch of draws is built entry-major, one contiguous row of draws per entry
+of rho, the layout in which the Monte Carlo chunk multiplies entries.
 
 Randomness is counter-based: ``RandomStream(seed, stream_id)`` keys a Philox
 generator, so distinct stream ids give independent streams and a fixed pair
@@ -37,13 +42,19 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class RandomStream:
-    """A reproducible, independently keyed random stream."""
+    """A reproducible, independently keyed random stream.
+
+    ``seed`` and ``stream_id`` key Philox modulo 2^64, so ``s`` and
+    ``s + 2**64`` (for instance -1 and 2**64 - 1) name the same stream and
+    any two seeds that differ modulo 2^64 name different ones.
+    """
 
     seed: int
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = [self.seed & _MASK64, self.stream_id & _MASK64]
+        # a uint64 array: from a list, numpy reads keys >= 2^63 through float
+        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -166,34 +177,46 @@ def measure_from_json(obj: dict) -> MeasureSpec:
 # ---------------------------------------------------------------------------
 
 
-def _haar_columns(n: int, k: int, size: int, gen: np.random.Generator) -> np.ndarray:
-    """(k, size, n): the first k columns of ``size`` Haar unitaries on C^n.
+def _haar_planes(n: int, k: int, size: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n, size) real and imaginary parts of the first k columns of ``size``
+    Haar unitaries on C^n: component i of column j is one row over the draws.
 
-    Complex Ginibre followed by Gram-Schmidt on its columns, each projection
-    pass run twice so rounding leaves the columns orthonormal.  This is the QR
-    factor whose R has a positive real diagonal: unique, hence exactly Haar.
-    All n columns are drawn whatever k is, so the stream advances alike.
+    Complex Ginibre followed by classical Gram-Schmidt on its columns, each
+    projection pass run twice so rounding leaves the columns orthonormal.  This
+    is the QR factor whose R has a positive real diagonal: unique, hence
+    exactly Haar.  All n columns are drawn whatever k is, so the stream
+    advances alike.
     """
     zr = gen.standard_normal((size, n, n))
     zi = gen.standard_normal((size, n, n))
-    # column j of every draw as one contiguous (size, n) block
-    q = np.ascontiguousarray((zr[:, :, :k] + 1j * zi[:, :, :k]).transpose(2, 0, 1))
+    re = np.ascontiguousarray(zr[:, :, :k].transpose(2, 1, 0))
+    im = np.ascontiguousarray(zi[:, :, :k].transpose(2, 1, 0))
     for j in range(k):
-        v = q[j]
+        vr, vi = re[j], im[j]
         for _ in range(2 if j else 0):
-            v -= np.einsum("jb,jbi->bi", np.einsum("jbi,bi->jb", q[:j].conj(), v), q[:j])
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return q
+            # every <q_l, v> from the same v, then all projections off at once
+            dots = [
+                (np.sum(re[l] * vr + im[l] * vi, axis=0), np.sum(re[l] * vi - im[l] * vr, axis=0))
+                for l in range(j)
+            ]
+            for l, (cr, ci) in enumerate(dots):
+                vr -= cr * re[l] - ci * im[l]
+                vi -= cr * im[l] + ci * re[l]
+        norm = np.sqrt(np.square(vr).sum(axis=0) + np.square(vi).sum(axis=0))
+        vr /= norm
+        vi /= norm
+    return re, im
 
 
 def haar_unitaries(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
     """(size, n, n) Haar-distributed unitaries.
 
     Complex Ginibre orthonormalized by Gram-Schmidt, run twice per column
-    (see ``_haar_columns``); the same draws give the QR factor with R's
+    (see ``_haar_planes``); the same draws give the QR factor with R's
     diagonal phases pushed into Q, up to rounding.
     """
-    return _haar_columns(n, n, size, gen).transpose(1, 2, 0)
+    re, im = _haar_planes(n, n, size, gen)
+    return (re + 1j * im).transpose(2, 1, 0)
 
 
 def sample_haar_unitary(n: int, rng) -> np.ndarray:
@@ -207,7 +230,11 @@ def simplex_points(n: int, q, size: int, gen: np.random.Generator) -> np.ndarray
     q = np.broadcast_to(np.asarray(q, dtype=float), (n,))
     if np.any(q >= 1):
         raise ValueError("Dirichlet parameters must satisfy q < 1")
-    g = gen.gamma(1.0 - q, size=(size, n))
+    if np.all(q == q[0]):
+        # the same variates as the array-shaped call below, drawn faster
+        g = gen.standard_gamma(1.0 - q[0], size=(size, n))
+    else:
+        g = gen.gamma(1.0 - q, size=(size, n))
     return g / g.sum(axis=1, keepdims=True)
 
 
@@ -215,51 +242,68 @@ def sample_simplex(n: int, q, rng) -> np.ndarray:
     return simplex_points(n, q, 1, _as_generator(rng))[0]
 
 
-def _haar_dirichlet_batch(m: HaarDirichletMeasure, size: int, gen) -> np.ndarray:
+def _haar_dirichlet_rows(m: HaarDirichletMeasure, size: int, gen) -> np.ndarray:
     # U diag(e) U+ = e_last I + sum_{j<last} (e_j - e_last) q_j q_j+, since the
     # projectors onto the columns q_j sum to I: only N - 1 columns are needed
-    q = _haar_columns(m.n, m.n - 1, size, gen)
-    e = simplex_points(m.n, m.q, size, gen)
-    w = e[:, :-1] - e[:, -1:]
-    rho = np.einsum("jbi,jbk->bik", w.T[:, :, None] * q, q.conj())
-    rho.reshape(size, m.n * m.n)[:, :: m.n + 1] += e[:, -1:]
-    return rho
+    n = m.n
+    re, im = _haar_planes(n, n - 1, size, gen)
+    e = simplex_points(n, m.q, size, gen)
+    w = (e[:, :-1] - e[:, -1:]).T[:, None]
+    wr, wi = re * w, im * w
+    rows = np.empty((n * n, size), dtype=complex)
+    for i in range(n):
+        # rho[i, k] for k >= i is summed; rho[k, i] is its exact conjugate
+        upper, lower = rows[i * n + i : (i + 1) * n], rows[i * n + i :: n]
+        ar, ai = wr[:, i, None], wi[:, i, None]
+        upper.real = lower.real = np.sum(ar * re[:, i:] + ai * im[:, i:], axis=0)
+        upper.imag = np.sum(ai * re[:, i:] - ar * im[:, i:], axis=0)
+        lower.imag = -upper.imag
+    rows.real[:: n + 1] += e[:, -1]
+    rows.imag[:: n + 1] = 0
+    return rows
 
 
-def _bloch_batch(m: BlochBallMeasure, size: int, gen) -> np.ndarray:
+def _bloch_rows(m: BlochBallMeasure, size: int, gen) -> np.ndarray:
     direction = gen.standard_normal((size, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     # r^2 ~ Beta(3/2, 1-u), realized as a ratio of Gamma variates
     ga = gen.gamma(1.5, size=size)
     gb = gen.gamma(1.0 - float(m.u), size=size)
     r = np.sqrt(ga / (ga + gb))
-    v = r[:, None] * direction
-    rho = np.empty((size, 2, 2), dtype=complex)
-    rho[:, 0, 0] = 1 + v[:, 2]
-    rho[:, 1, 1] = 1 - v[:, 2]
-    rho[:, 0, 1] = v[:, 0] - 1j * v[:, 1]
-    rho[:, 1, 0] = v[:, 0] + 1j * v[:, 1]
-    return rho / 2
+    x, y, z = r * direction.T
+    rows = np.empty((4, size), dtype=complex)
+    rows.real[0], rows.real[3] = (1 + z) / 2, (1 - z) / 2
+    rows.real[1] = rows.real[2] = x / 2
+    rows.imag[0] = rows.imag[3] = 0
+    rows.imag[1], rows.imag[2] = -y / 2, y / 2
+    return rows
 
 
-def _kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, p, _ = a.shape
-    q = b.shape[1]
-    return np.einsum("bij,bkl->bikjl", a, b).reshape(n, p * q, p * q)
+def _entry_rows(spec: MeasureSpec, size: int, gen) -> np.ndarray:
+    """(D*D, size): row i*D + k holds rho[i, k] of every draw."""
+    if isinstance(spec, HaarDirichletMeasure):
+        return _haar_dirichlet_rows(spec, size, gen)
+    if isinstance(spec, BlochBallMeasure):
+        return _bloch_rows(spec, size, gen)
+    if isinstance(spec, ProductMeasure):
+        rows, p = _entry_rows(spec.factors[0], size, gen), spec.factors[0].dim
+        for f in spec.factors[1:]:
+            # the Kronecker rows (i, k, j, l) = a[i, j] * b[k, l], as einsum's
+            # unfused ar*br - ai*bi: numpy's SIMD multiply may round otherwise
+            q = f.dim
+            b = _entry_rows(f, size, gen).reshape(q, q, size)
+            rows = np.einsum("ijs,kls->ikjls", rows.reshape(p, p, size), b).reshape(-1, size)
+            p *= q
+        return rows
+    raise TypeError(f"unknown measure spec {spec!r}")
 
 
 def sample_density_batch(spec: MeasureSpec, size: int, gen) -> np.ndarray:
-    """(size, D, D) independent draws of the random density matrix."""
-    if isinstance(spec, HaarDirichletMeasure):
-        return _haar_dirichlet_batch(spec, size, gen)
-    if isinstance(spec, BlochBallMeasure):
-        return _bloch_batch(spec, size, gen)
-    if isinstance(spec, ProductMeasure):
-        out = sample_density_batch(spec.factors[0], size, gen)
-        for f in spec.factors[1:]:
-            out = _kron_batch(out, sample_density_batch(f, size, gen))
-        return out
-    raise TypeError(f"unknown measure spec {spec!r}")
+    """(size, D, D) independent draws of the random density matrix, as a view
+    of the (D*D, size) entry rows: ``.transpose(1, 2, 0)`` makes it contiguous.
+    """
+    d = spec.dim
+    return _entry_rows(spec, size, gen).reshape(d, d, size).transpose(2, 0, 1)
 
 
 def sample_density(spec: MeasureSpec, rng) -> np.ndarray:

@@ -29,6 +29,7 @@ one thread at a time.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -83,7 +84,8 @@ def monomial_pairs(dim: int, m: int) -> np.ndarray:
     return pairs
 
 
-@lru_cache(maxsize=None)
+# an index holds D^2 intp (134 MB at D = 4096), so only the last two sizes stay
+@lru_cache(maxsize=2)
 def monomial_table(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct entries of rho^(x m) for a dim x dim rho, as products of m entries.
 
@@ -143,8 +145,8 @@ def _chunk_stats(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """
     spec, m, seed, chunk_index, count = args
     gen = RandomStream(seed, chunk_index).generator()
-    # one row per entry of rho, so a monomial's factors are contiguous rows
-    entries = sample_density_batch(spec, count, gen).reshape(count, -1).T.copy()
+    # the sampler's own entry-major rows: a monomial's factors are contiguous rows
+    entries = sample_density_batch(spec, count, gen).transpose(1, 2, 0).reshape(-1, count)
     pairs = monomial_pairs(spec.dim, m)
     mean = np.empty(len(pairs), dtype=complex)
     m2_re, m2_im = np.empty(len(pairs)), np.empty(len(pairs))
@@ -219,6 +221,13 @@ def _pool_map(jobs: list, processes: int) -> list:
         raise
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def estimate_mean(
     spec: MeasureSpec,
     m: int,
@@ -227,6 +236,8 @@ def estimate_mean(
     workers: int = 1,
 ) -> MeanEstimate:
     """Unbiased sample mean of rho^(x m) with deterministic chunked reduction."""
+    names = ("m", "n_samples", "workers", "seed")
+    m, n_samples, workers, seed = map(_integer, names, (m, n_samples, workers, seed))
     scenario = scenario_for(spec, m)
     check_dim_cap(scenario.dim)
     if n_samples < MIN_SAMPLES:
@@ -248,11 +259,11 @@ def estimate_mean(
         stats = _pool_map(jobs, processes)
 
     n, mean, m2_re, m2_im = _tree_reduce(stats)
-    shape = (scenario.dim, scenario.dim)
-    mean, m2_re, m2_im = (v[index].reshape(shape) for v in (mean, m2_re, m2_im))
     denom = n * (n - 1)
-    stderr_re = np.sqrt(m2_re / denom)
-    stderr_im = np.sqrt(m2_im / denom)
+    # elementwise, so the same bits as on the full matrix, at one value per monomial
+    stderr_re, stderr_im = np.sqrt(m2_re / denom), np.sqrt(m2_im / denom)
+    shape = (scenario.dim, scenario.dim)
+    mean, stderr_re, stderr_im = (v[index].reshape(shape) for v in (mean, stderr_re, stderr_im))
     return MeanEstimate(
         mean=mean,
         n_samples=n,

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhomean.linalg import validate_density_matrix
 from rhomean.measures import (
@@ -46,6 +48,134 @@ def qr_reference(n, q, size, gen):
     u = u * (d / np.abs(d))[:, None, :]
     e = simplex_points(n, q, size, gen)
     return u, np.einsum("bij,bj,bkj->bik", u, e, u.conj())
+
+
+def einsum_reference(spec, size, gen):
+    """The (size, D, D) batch by complex einsum, as the samplers once formed it:
+    the reference the entry-row samplers are held to."""
+    if isinstance(spec, ProductMeasure):
+        out = einsum_reference(spec.factors[0], size, gen)
+        for f in spec.factors[1:]:
+            b = einsum_reference(f, size, gen)
+            d = out.shape[1] * b.shape[1]
+            out = np.einsum("bij,bkl->bikjl", out, b).reshape(size, d, d)
+        return out
+    if isinstance(spec, BlochBallMeasure):
+        direction = gen.standard_normal((size, 3))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        ga = gen.gamma(1.5, size=size)
+        gb = gen.gamma(1.0 - float(spec.u), size=size)
+        v = np.sqrt(ga / (ga + gb))[:, None] * direction
+        rho = np.empty((size, 2, 2), dtype=complex)
+        rho[:, 0, 0] = 1 + v[:, 2]
+        rho[:, 1, 1] = 1 - v[:, 2]
+        rho[:, 0, 1] = v[:, 0] - 1j * v[:, 1]
+        rho[:, 1, 0] = v[:, 0] + 1j * v[:, 1]
+        return rho / 2
+    # Haar-Dirichlet: Gram-Schmidt twice on complex (size, n) column blocks
+    n, k = spec.n, spec.n - 1
+    zr = gen.standard_normal((size, n, n))
+    zi = gen.standard_normal((size, n, n))
+    q = np.ascontiguousarray((zr[:, :, :k] + 1j * zi[:, :, :k]).transpose(2, 0, 1))
+    for j in range(k):
+        v = q[j]
+        for _ in range(2 if j else 0):
+            v -= np.einsum("jb,jbi->bi", np.einsum("jbi,bi->jb", q[:j].conj(), v), q[:j])
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    e = gen.gamma(1.0 - np.asarray(spec.q, dtype=float), size=(size, n))
+    e /= e.sum(axis=1, keepdims=True)
+    w = e[:, :-1] - e[:, -1:]
+    rho = np.einsum("jbi,jbk->bik", w.T[:, :, None] * q, q.conj())
+    rho.reshape(size, n * n)[:, :: n + 1] += e[:, -1:]
+    return rho
+
+
+BLOCH_PRODUCTS = [
+    BlochBallMeasure(u=-2.0),
+    BlochBallMeasure(u=0.5),
+    ProductMeasure(factors=(BlochBallMeasure(u=-2.0), BlochBallMeasure(u=0.5))),
+    ProductMeasure(
+        factors=(
+            BlochBallMeasure(u=0.0),
+            ProductMeasure(factors=(BlochBallMeasure(u=-2.0), BlochBallMeasure(u=-0.5))),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("spec", BLOCH_PRODUCTS, ids=["bloch", "bloch-bures", "2x2", "2x(2x2)"])
+def test_bloch_and_product_draws_equal_einsum_reference_bitwise(spec):
+    for seed, size in ((3, 7812), (4, 1), (5, 33)):
+        g, g_ref = gen(seed, 1), gen(seed, 1)
+        rho, ref = sample_density_batch(spec, size, g), einsum_reference(spec, size, g_ref)
+        assert rho.shape == ref.shape == (size, spec.dim, spec.dim)
+        # equal bytes, so the signs of zeros too
+        assert np.ascontiguousarray(rho).tobytes() == ref.tobytes()
+        np.testing.assert_equal(g.bit_generator.state, g_ref.bit_generator.state)
+
+
+_laws = st.one_of(
+    st.builds(
+        lambda n, q: HaarDirichletMeasure(n=n, q=q),
+        st.integers(2, 5),
+        st.sampled_from([0.0, 0.5, -1.0, 0.9]),
+    ),
+    st.builds(BlochBallMeasure, st.sampled_from([-2.0, 0.0, 0.5])),
+)
+_specs = st.one_of(
+    _laws, st.lists(_laws, min_size=2, max_size=3).map(lambda f: ProductMeasure(factors=tuple(f)))
+)
+
+
+@given(_specs, st.integers(0, 2**32 - 1), st.integers(1, 300))
+@settings(max_examples=60, deadline=None)
+def test_draws_are_exactly_hermitian_and_consume_the_reference_stream(spec, seed, size):
+    g, g_ref = gen(seed, 2), gen(seed, 2)
+    rho = sample_density_batch(spec, size, g)
+    ref = einsum_reference(spec, size, g_ref)
+    assert np.array_equal(rho, rho.conj().transpose(0, 2, 1))
+    assert np.abs(rho - ref).max() < 1e-14
+    np.testing.assert_equal(g.bit_generator.state, g_ref.bit_generator.state)
+
+
+def test_batch_is_a_view_of_entry_major_rows():
+    # the Monte Carlo chunk reads the rows back without a copy
+    for spec in (HaarDirichletMeasure(n=3), BlochBallMeasure(u=0.5), BLOCH_PRODUCTS[2]):
+        rho = sample_density_batch(spec, 50, gen(9))
+        rows = rho.transpose(1, 2, 0).reshape(spec.dim**2, 50)
+        assert rows.flags.c_contiguous and np.shares_memory(rows, rho)
+        assert np.array_equal(rows[1], rho[:, 0, 1])
+
+
+@given(
+    st.integers(2, 6),
+    st.sampled_from([0.0, 0.5, -1.0, 0.25, -7.5, 0.75]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 500),
+)
+@settings(max_examples=60, deadline=None)
+def test_equal_exponents_draw_the_per_level_gamma_variates(n, q, seed, size):
+    g, g_ref = gen(seed), gen(seed)
+    e = simplex_points(n, q, size, g)
+    ref = g_ref.gamma(np.full(n, 1.0 - q), size=(size, n))
+    assert np.array_equal(e, ref / ref.sum(axis=1, keepdims=True))
+    np.testing.assert_equal(g.bit_generator.state, g_ref.bit_generator.state)
+
+
+def test_seeds_are_keyed_modulo_two_to_the_64():
+    # from a list, Philox read keys >= 2^63 through float: -1, 2^64 - 2 and
+    # 2^64 - 1 all drew seed 0's stream, and 2^63 and 2^63 + 1 shared one
+    seeds = (0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+    draws = [RandomStream(s, 4).generator().standard_normal(4) for s in seeds]
+    assert len({d.tobytes() for d in draws}) == len(seeds)
+    for s in seeds + (-1, -(2**63)):
+        for shift in (2**64, -(2**64), 2**70):
+            a = RandomStream(s, 4).generator().standard_normal(4)
+            assert np.array_equal(a, RandomStream(s + shift, 4).generator().standard_normal(4))
+    assert np.array_equal(
+        RandomStream(0, -1).generator().standard_normal(4),
+        RandomStream(0, 2**64 - 1).generator().standard_normal(4),
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -374,9 +374,9 @@ def test_convergence_report_against_itself_and_shapes():
 
 
 def test_rounding_noise_parts_score_zero():
-    # rho01*rho10 is exactly real, yet complex-multiply rounding can leave an
-    # imaginary part and a stderr_imag of ~1e-20 on it, at any ratio; such a
-    # part is made here at ratio 100 on a real estimate
+    # a product of entries that is exactly real can carry an imaginary part and
+    # a stderr_imag of ~1e-20 from complex-multiply rounding, at any ratio;
+    # such a part is made here at ratio 100 on a real estimate
     est = estimate_mean(HaarDirichletMeasure(n=2), 2, 100_000, seed=1, workers=1)
     ref = haar_mean(2, 2, 0).mean_float()
     mean, stderr_imag = est.mean.copy(), est.stderr_imag.copy()
@@ -385,7 +385,7 @@ def test_rounding_noise_parts_score_zero():
     noisy = replace(est, mean=mean, stderr_imag=stderr_imag)
     delta = noisy.mean - ref
     genuine = max(
-        (np.abs(part) / se)[se >= 1e-15].max()
+        (np.abs(part[se >= 1e-15]) / se[se >= 1e-15]).max()
         for part, se in ((delta.real, noisy.stderr_real), (delta.imag, noisy.stderr_imag))
     )
     rep = convergence_report(noisy, ref)
@@ -419,6 +419,39 @@ def test_sample_count_validation():
         estimate_mean(HaarDirichletMeasure(n=2), 2, 99)
     with pytest.raises(ValueError):
         estimate_mean(HaarDirichletMeasure(n=2), 13, 1_000)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("m", {"m": 2.0}),
+        ("n_samples", {"n_samples": 1000.0}),
+        ("n_samples", {"n_samples": "1000"}),
+        ("workers", {"workers": 1.5}),
+        ("seed", {"seed": 1.0}),
+        ("seed", {"seed": None}),
+    ],
+)
+def test_integer_arguments_are_validated_by_name(name, kwargs):
+    args = {"m": 1, "n_samples": 1000, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        estimate_mean(HaarDirichletMeasure(n=2), **args)
+    # index-like integers are taken as they are
+    est = estimate_mean(HaarDirichletMeasure(n=2), np.int64(1), np.int32(1000), seed=np.uint64(3))
+    assert est.n_samples == 1000 and type(est.seed) is int and est.seed == 3
+
+
+def test_monomial_table_cache_is_bounded():
+    monomial_table.cache_clear()
+    sizes = [(HaarDirichletMeasure(n=2), 1), (HaarDirichletMeasure(n=2), 2), (HaarDirichletMeasure(n=3), 2)]
+    sizes += [(BlochBallMeasure(u=0.5), 3), (PAIR_23, 1)]
+    for spec, m in sizes:
+        for _ in range(2):
+            estimate_mean(spec, m, 200, seed=1, workers=1)
+    info = monomial_table.cache_info()
+    assert info.currsize == info.maxsize == 2
+    # the second call at each size hits the table the first one built
+    assert info.hits == 5 and info.misses == 5
 
 
 def test_workers_env_default_and_worker_count_validation(monkeypatch):
