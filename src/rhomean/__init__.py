@@ -51,7 +51,6 @@ from .oracle import (
 from .spectral import (
     SpectralDecomposition,
     SymbolicEigenvalue,
-    SymbolicEntry,
     SymbolicMatrix,
     cluster_spectrum,
     eigenvector_check,

@@ -17,6 +17,7 @@ from math import comb
 
 import numpy as np
 
+from .fixtures import eq13_matrix, n4m2_matrix
 from .spectral import SymbolicEigenvalue, SymbolicMatrix
 
 # ---------------------------------------------------------------------------
@@ -187,23 +188,12 @@ def _check_q(q) -> Fraction:
 
 
 def _n3m2_family(q: Fraction) -> DirichletFamily:
-    from .fixtures import eq13_layout
-
-    kinds, g_mult = eq13_layout()
     den = 4 - 3 * q
     values = {
         "diag_eq": (3 - 2 * q) / (6 * den),
         "diag_neq": (5 - 4 * q) / (12 * den),
         "swap": Fraction(1) / (12 * den),
     }
-    s_base = Fraction(1) / (216 * den)
-    rp = np.full((9, 9), Fraction(0), dtype=object)
-    sp = np.full((9, 9), Fraction(0), dtype=object)
-    for i in range(9):
-        for j in range(9):
-            if kinds[i][j]:
-                rp[i, j] = values[kinds[i][j]]
-            sp[i, j] = g_mult[i][j] * s_base
     spectrum = (
         (SymbolicEigenvalue(Fraction(1, 9) - Fraction(1) / (9 * den)), 3),
         (SymbolicEigenvalue(values["diag_eq"], -Fraction(1, 648) / den, 662), 1),
@@ -212,13 +202,11 @@ def _n3m2_family(q: Fraction) -> DirichletFamily:
         (SymbolicEigenvalue(values["diag_eq"], Fraction(7, 648) / den, 2), 1),
         (SymbolicEigenvalue(values["diag_eq"], Fraction(1, 648) / den, 662), 1),
     )
-    return DirichletFamily("dirichlet.n3m2", q, SymbolicMatrix(rp, sp), spectrum)
+    matrix = eq13_matrix(values, Fraction(1) / (216 * den))
+    return DirichletFamily("dirichlet.n3m2", q, matrix, spectrum)
 
 
 def _n4m2_family(q: Fraction) -> DirichletFamily:
-    from .fixtures import n4m2_layout
-
-    diag_slots, offdiag_cells = n4m2_layout()
     den = 5 - 4 * q
     diag_values = {
         "alpha": (2327 - 1620 * q) / (6480 * den),
@@ -235,13 +223,6 @@ def _n4m2_family(q: Fraction) -> DirichletFamily:
         "v3": Fraction(107) / (3456 * den),
         "v4": Fraction(197) / (8640 * den),
     }
-    rp = np.full((16, 16), Fraction(0), dtype=object)
-    sp = np.full((16, 16), Fraction(0), dtype=object)
-    for i, slot in enumerate(diag_slots):
-        rp[i, i] = diag_values[slot]
-    for (i, j), slot in offdiag_cells.items():
-        rp[i, j] = off_values[slot]
-        rp[j, i] = off_values[slot]
     s16 = Fraction(1, 16)
     spectrum = (
         (SymbolicEigenvalue(s16 - Fraction(1) / (16 * den)), 6),
@@ -252,7 +233,8 @@ def _n4m2_family(q: Fraction) -> DirichletFamily:
         (SymbolicEigenvalue(s16 + Fraction(233) / (4320 * den)), 1),
         (SymbolicEigenvalue(s16 + Fraction(37) / (360 * den)), 1),
     )
-    return DirichletFamily("dirichlet.n4m2", q, SymbolicMatrix(rp, sp), spectrum)
+    matrix = n4m2_matrix(diag_values, off_values)
+    return DirichletFamily("dirichlet.n4m2", q, matrix, spectrum)
 
 
 def _n2m2_family(q: Fraction) -> DirichletFamily:

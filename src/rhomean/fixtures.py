@@ -40,7 +40,6 @@ class EigenvectorSet:
 class Fixture:
     id: str
     matrix: SymbolicMatrix | None = None
-    matrix_complete: bool = True
     spectrum: tuple[tuple[SymbolicEigenvalue, int], ...] | None = None
     decimal_spectrum: tuple[tuple[float, float, int], ...] | None = None  # (value, tol, mult)
     limit_spectrum: tuple[tuple[Fraction, int], ...] | None = None
@@ -48,12 +47,6 @@ class Fixture:
     diag: dict[int, Fraction] | None = None  # 0-based position -> value
     diag_counts: tuple[tuple[Fraction, int], ...] | None = None
     notes: str = ""
-
-
-def _rational_matrix(rows) -> SymbolicMatrix:
-    return SymbolicMatrix.from_rational(
-        np.array([[F(x) for x in row] for row in rows], dtype=object)
-    )
 
 
 def _vec(entries) -> np.ndarray:
@@ -66,7 +59,7 @@ def _vec(entries) -> np.ndarray:
 
 
 def _n2m2() -> Fixture:
-    m = _rational_matrix(
+    m = SymbolicMatrix.from_rational(
         [
             [F(5, 18), 0, 0, 0],
             [0, F(2, 9), F(1, 18), 0],
@@ -80,7 +73,7 @@ def _n2m2() -> Fixture:
 
 def _n2m3() -> Fixture:
     z, a, b, c = 0, F(1, 6), F(1, 9), F(1, 36)
-    m = _rational_matrix(
+    m = SymbolicMatrix.from_rational(
         [
             [a, z, z, z, z, z, z, z],
             [z, b, c, z, c, z, z, z],
@@ -180,22 +173,15 @@ _EQ13_G_MULT = [
 ]
 
 
-def eq13_layout():
-    """Slot kinds and g-multipliers of the 9x9 fixture; shared with the q-family."""
-    return _EQ13_KINDS, [[F(x) for x in row] for row in _EQ13_G_MULT]
+def eq13_matrix(values, g) -> SymbolicMatrix:
+    """The 9x9 layout filled with rational slot values and the 1/pi unit g."""
+    rp = np.array([[values[k] if k else F(0) for k in row] for row in _EQ13_KINDS], dtype=object)
+    sp = np.array([[F(x) * g for x in row] for row in _EQ13_G_MULT], dtype=object)
+    return SymbolicMatrix(rp, sp)
 
 
 def _n3m2() -> Fixture:
-    kinds, g_mult = eq13_layout()
-    values = {"diag_eq": F(1, 8), "diag_neq": F(5, 48), "swap": F(1, 48)}
-    g = F(1, 864)
-    rp = np.full((9, 9), F(0), dtype=object)
-    sp = np.full((9, 9), F(0), dtype=object)
-    for i in range(9):
-        for j in range(9):
-            if kinds[i][j]:
-                rp[i, j] = values[kinds[i][j]]
-            sp[i, j] = g_mult[i][j] * g
+    m = eq13_matrix({"diag_eq": F(1, 8), "diag_neq": F(5, 48), "swap": F(1, 48)}, F(1, 864))
     eighth = F(1, 8)
     spec = (
         (SymbolicEigenvalue(F(1, 12)), 3),
@@ -205,7 +191,7 @@ def _n3m2() -> Fixture:
         (SymbolicEigenvalue(eighth, F(7, 2592), 2), 1),      # ~ .126216
         (SymbolicEigenvalue(eighth, F(1, 2592), 662), 1),    # ~ .12816
     )
-    return Fixture(id="n3m2", matrix=SymbolicMatrix(rp, sp), spectrum=spec)
+    return Fixture(id="n3m2", matrix=m, spectrum=spec)
 
 
 #: matrices of this family are PSD for |v| at or above this threshold
@@ -361,7 +347,6 @@ def _n3m3_partial() -> Fixture:
     return Fixture(
         id="n3m3.partial",
         matrix=SymbolicMatrix(rp, sp),
-        matrix_complete=False,
         spectrum=spec,
         decimal_spectrum=decimal_spectrum,
         limit_spectrum=((F(1, 60), 1), (F(7, 240), 16), (F(31, 600), 10)),
@@ -390,7 +375,6 @@ def _n3m4_partial() -> Fixture:
     return Fixture(
         id="n3m4.partial",
         matrix=SymbolicMatrix(rp, sp),
-        matrix_complete=False,
         diag_counts=(
             (F(7, 300), 3),
             (F(11, 900), 18),
@@ -422,8 +406,14 @@ _N4M2_OFFDIAG = {
 }
 
 
-def n4m2_layout():
-    return _N4M2_DIAG_SLOTS, dict(_N4M2_OFFDIAG)
+def n4m2_matrix(diag_values, off_values) -> SymbolicMatrix:
+    """The 16x16 layout filled with rational slot values; it has no 1/pi part."""
+    rp = np.full((16, 16), F(0), dtype=object)
+    for i, slot in enumerate(_N4M2_DIAG_SLOTS):
+        rp[i, i] = diag_values[slot]
+    for (i, j), slot in _N4M2_OFFDIAG.items():
+        rp[i, j] = rp[j, i] = off_values[slot]
+    return SymbolicMatrix.from_rational(rp)
 
 
 def _n4m2() -> Fixture:
@@ -442,12 +432,6 @@ def _n4m2() -> Fixture:
         "v3": F(107, 17280),
         "v4": F(197, 43200),
     }
-    rp = np.full((16, 16), F(0), dtype=object)
-    sp = np.full((16, 16), F(0), dtype=object)
-    for i, slot in enumerate(_N4M2_DIAG_SLOTS):
-        rp[i, i] = diag_values[slot]
-    for (i, j), slot in _N4M2_OFFDIAG.items():
-        rp[i, j] = rp[j, i] = off_values[slot]
     spec = _rational_spectrum(
         [
             (F(1, 20), 6),
@@ -459,7 +443,7 @@ def _n4m2() -> Fixture:
             (F(299, 3600), 1),
         ]
     )
-    return Fixture(id="n4m2", matrix=SymbolicMatrix(rp, sp), spectrum=spec)
+    return Fixture(id="n4m2", matrix=n4m2_matrix(diag_values, off_values), spectrum=spec)
 
 
 # ---------------------------------------------------------------------------

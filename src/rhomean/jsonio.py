@@ -55,12 +55,9 @@ def complex_matrix_to_json(mat: np.ndarray) -> dict:
 def _check_entry_count(obj: dict) -> tuple[int, int, list]:
     if not isinstance(obj, dict):
         raise ValueError(f"matrix JSON is a {type(obj).__name__}, not an object")
-    for name in ("rows", "cols", "entries"):
-        if name not in obj:
-            raise ValueError(f"matrix JSON lacks the field {name!r}")
-    rows, cols = obj["rows"], obj["cols"]
-    entries = obj["entries"]
-    if len(entries) != rows * cols:
+    rows, cols, entries = (_field(obj, name, "matrix JSON") for name in ("rows", "cols", "entries"))
+    rows, cols = _json_int(rows, "rows", "matrix JSON"), _json_int(cols, "cols", "matrix JSON")
+    if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError("entry count does not match rows * cols")
     return rows, cols, entries
 
@@ -228,29 +225,33 @@ def _class_coefficients_from_json(coefficients: dict, m: int) -> dict[tuple[int,
     }
 
 
-def _json_int(value, name: str) -> int:
+def _json_int(value, name: str, what: str = "oracle artifact") -> int:
     if type(value) is not int:  # a JSON integer; not a float, string or boolean
-        raise ValueError(f"oracle artifact field {name!r} holds {value!r}, not an integer")
+        raise ValueError(f"{what} field {name!r} holds {value!r}, not an integer")
     return value
 
 
-def _list_of_lists(value, name: str) -> list:
+def _int_list(value, name: str, what: str = "oracle artifact") -> tuple[int, ...]:
+    if not (isinstance(value, list) and all(type(n) is int for n in value)):
+        raise ValueError(f"{what} field {name!r} is {value!r}, not a list of integers")
+    return tuple(value)
+
+
+def _list_of_lists(value, name: str, what: str = "oracle artifact") -> list:
     if not (isinstance(value, list) and all(isinstance(x, list) for x in value)):
-        raise ValueError(f"oracle artifact field {name!r} is {value!r}, not a list of lists")
+        raise ValueError(f"{what} field {name!r} is {value!r}, not a list of lists")
     return value
 
 
-def _field(obj: dict, name: str):
+def _field(obj: dict, name: str, what: str = "oracle artifact"):
     if name not in obj:
-        raise ValueError(f"oracle artifact lacks the field {name!r}")
+        raise ValueError(f"{what} lacks the field {name!r}")
     return obj[name]
 
 
 def oracle_result_from_json(obj: dict) -> OracleResult:
-    factors = _field(obj, "factors")
-    if not (isinstance(factors, list) and all(type(n) is int for n in factors)):
-        raise ValueError(f"oracle artifact field 'factors' is {factors!r}, not a list of integers")
-    factors, m = tuple(factors), _json_int(_field(obj, "m"), "m")
+    factors = _int_list(_field(obj, "factors"), "factors")
+    m = _json_int(_field(obj, "m"), "m")
     coeffs = None
     if "coefficients" in obj:
         form = obj.get("coefficients_form")
@@ -298,18 +299,38 @@ def estimate_to_json(est: MeanEstimate) -> dict:
     }
 
 
+_ESTIMATE = "estimate artifact"
+
+
+def _stderr_matrix(obj: dict, name: str, shape: tuple[int, int]) -> np.ndarray:
+    rows = _list_of_lists(_field(obj, name, _ESTIMATE), name, _ESTIMATE)
+    numbers = all(type(x) in (int, float) for row in rows for x in row)
+    if not numbers or [len(row) for row in rows] != [shape[1]] * shape[0]:
+        raise ValueError(f"{_ESTIMATE} field {name!r} is not a {shape[0]}x{shape[1]} matrix of numbers")
+    return np.array(rows, dtype=float)
+
+
 def estimate_from_json(obj: dict) -> MeanEstimate:
-    measure: MeasureSpec = measure_from_json(obj["measure"])
+    if not isinstance(obj, dict):
+        raise ValueError(f"{_ESTIMATE} is a {type(obj).__name__}, not an object")
+
+    def integer(name: str) -> int:
+        return _json_int(_field(obj, name, _ESTIMATE), name, _ESTIMATE)
+
+    mean = complex_matrix_from_json(_field(obj, "matrix", _ESTIMATE))
     return MeanEstimate(
-        mean=complex_matrix_from_json(obj["matrix"]),
-        n_samples=obj["n_samples"],
-        stderr=np.array(obj["stderr"], dtype=float),
-        stderr_real=np.array(obj["stderr_real"], dtype=float),
-        stderr_imag=np.array(obj["stderr_imag"], dtype=float),
-        measure=measure,
-        scenario=Scenario(factors=tuple(obj["factors"]), power=obj["m"]),
-        seed=obj["seed"],
-        workers=obj["workers"],
+        mean=mean,
+        n_samples=integer("n_samples"),
+        stderr=_stderr_matrix(obj, "stderr", mean.shape),
+        stderr_real=_stderr_matrix(obj, "stderr_real", mean.shape),
+        stderr_imag=_stderr_matrix(obj, "stderr_imag", mean.shape),
+        measure=measure_from_json(_field(obj, "measure", _ESTIMATE)),
+        scenario=Scenario(
+            factors=_int_list(_field(obj, "factors", _ESTIMATE), "factors", _ESTIMATE),
+            power=integer("m"),
+        ),
+        seed=integer("seed"),
+        workers=integer("workers"),
     )
 
 

@@ -156,19 +156,31 @@ def _field(obj: dict, name: str):
     return obj[name]
 
 
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"measure field {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def measure_from_json(obj: dict) -> MeasureSpec:
+    """The law a measure JSON object names; a missing or mistyped field raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"measure JSON is a {type(obj).__name__}, not an object")
     kind = obj.get("type")
-    if kind in ("zhsl", "haar-dirichlet"):
+    if kind == "zhsl":
         q = obj.get("q", 0.0)
-        q = float(q) if isinstance(q, (int, float)) else tuple(float(x) for x in q)
+        q = tuple(_number(x, "q") for x in q) if isinstance(q, list) else _number(q, "q")
         n = _field(obj, "n")
         if type(n) is not int:  # a JSON integer; not a float, string or boolean
             raise ValueError(f"measure field 'n' must be an integer, got {n!r}")
         return HaarDirichletMeasure(n=n, q=q)
     if kind == "bloch":
-        return BlochBallMeasure(u=float(_field(obj, "u")))
+        return BlochBallMeasure(u=_number(_field(obj, "u"), "u"))
     if kind == "product":
-        return ProductMeasure(factors=tuple(measure_from_json(f) for f in _field(obj, "factors")))
+        factors = _field(obj, "factors")
+        if not (isinstance(factors, list) and all(isinstance(f, dict) for f in factors)):
+            raise ValueError(f"measure field 'factors' must be a list of objects, got {factors!r}")
+        return ProductMeasure(factors=tuple(measure_from_json(f) for f in factors))
     raise ValueError(f"unknown measure type: {kind!r}")
 
 

@@ -13,19 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
-
-
-class SymbolicEntry(NamedTuple):
-    """Matrix entry r + s/pi with exact rational r and s."""
-
-    r: Fraction
-    s: Fraction
-
-    def value(self, v: float = math.pi) -> float:
-        return float(self.r) + float(self.s) / v
 
 
 @dataclass(frozen=True)
@@ -54,18 +43,8 @@ class SymbolicMatrix:
             raise ValueError("symbolic matrices are square")
 
     @classmethod
-    def from_entries(cls, entries) -> "SymbolicMatrix":
-        n = len(entries)
-        rp = np.full((n, n), Fraction(0), dtype=object)
-        sp = np.full((n, n), Fraction(0), dtype=object)
-        for i, row in enumerate(entries):
-            for j, e in enumerate(row):
-                rp[i, j] = Fraction(e.r)
-                sp[i, j] = Fraction(e.s)
-        return cls(rp, sp)
-
-    @classmethod
-    def from_rational(cls, mat: np.ndarray) -> "SymbolicMatrix":
+    def from_rational(cls, mat) -> "SymbolicMatrix":
+        """The matrix with rational part ``mat`` (an array or nested rows) and no 1/pi part."""
         rp = np.array(
             [[Fraction(x) for x in row] for row in np.asarray(mat, dtype=object)],
             dtype=object,

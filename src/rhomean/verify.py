@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import partial
 
@@ -49,15 +49,7 @@ class Report:
         return self.status != "FAIL"
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "status": self.status,
-            "gated": self.gated,
-            "max_z": self.max_z,
-            "max_abs_delta": self.max_abs_delta,
-            "notes": self.notes,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -672,6 +664,6 @@ def run_all(budget: Budget | None = None, quick: bool = True) -> list[Report]:
     for case_id in CASES:
         b = budget
         if quick and budget.samples is None and case_id in _QUICK_SAMPLES:
-            b = Budget(samples=_QUICK_SAMPLES[case_id], seed=budget.seed, workers=budget.workers)
+            b = replace(budget, samples=_QUICK_SAMPLES[case_id])
         reports.append(run_case(case_id, b))
     return reports

@@ -240,6 +240,56 @@ def test_estimate_json_round_trip():
     assert np.array_equal(back.stderr, est.stderr)
     assert back.measure == est.measure
     assert back.n_samples == est.n_samples
+    with pytest.raises(ValueError, match="list, not an object"):
+        estimate_from_json([estimate_to_json(est)])
+
+
+@pytest.fixture(scope="module")
+def estimate_payload():
+    est = estimate_mean(HaarDirichletMeasure(n=2), 2, 100, seed=3)
+    return json.loads(json.dumps(estimate_to_json(est)))
+
+
+@pytest.mark.parametrize(
+    "field", ["matrix", "n_samples", "stderr_imag", "measure", "m", "factors", "seed", "workers"]
+)
+def test_estimate_artifact_rejects_missing_fields(estimate_payload, field):
+    payload = dict(estimate_payload)
+    del payload[field]
+    with pytest.raises(ValueError, match=f"estimate artifact lacks the field '{field}'"):
+        estimate_from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("n_samples", "lots", "'n_samples'"),
+        ("n_samples", 100.0, "'n_samples'"),
+        ("seed", True, "'seed'"),
+        ("workers", "1", "'workers'"),
+        ("m", None, "'m'"),
+        ("factors", [2.0], "'factors'"),
+        ("factors", 2, "'factors'"),
+        ("stderr", [[0.1, 0.1]], "'stderr'"),
+        ("stderr_real", [["0.1"] * 4] * 4, "'stderr_real'"),
+        ("measure", {"type": "zhsl", "n": 2, "q": None}, "'q'"),
+        ("measure", "zhsl", "str, not an object"),
+        ("matrix", [1, 2], "list, not an object"),
+    ],
+)
+def test_estimate_artifact_rejects_mistyped_fields(estimate_payload, field, value, named):
+    with pytest.raises(ValueError) as exc:
+        estimate_from_json({**estimate_payload, field: value})
+    assert named in str(exc.value)
+
+
+def test_malformed_measure_is_an_error_line_not_a_traceback(capsys):
+    measure = '{"type":"zhsl","n":2,"q":null}'
+    assert main(["mean", "--measure", measure, "--m", "2", "--samples", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rhomean: error:") and "'q'" in err
+    assert main(["sample", "--measure", '{"type":"haar-dirichlet","n":2}']) == 1
+    assert capsys.readouterr().err.startswith("rhomean: error: unknown measure type")
 
 
 def test_oracle_command_outputs_published_entries(tmp_path):
@@ -529,6 +579,8 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
         ({"rows": 2, "cols": 1, "entries": [{"r": "1", "s": "0"}]}, "rows * cols"),
         ({"cols": 2, "entries": ["1/2", "1/2"]}, "'rows'"),
         (["1/2", "1/2"], "list, not an object"),
+        ({"rows": "2", "cols": 1, "entries": ["1", "0"]}, "'rows'"),
+        ({"rows": 1, "cols": 1, "entries": "1"}, "rows * cols"),
     ],
 )
 def test_spectrum_rejects_malformed_matrix_files(tmp_path, capsys, matrix, named):

@@ -317,6 +317,33 @@ def test_measure_json_round_trip():
     assert type(HaarDirichletMeasure(n=np.int64(3)).n) is int
 
 
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ([{"type": "zhsl", "n": 2}], "list, not an object"),
+        ("zhsl", "str, not an object"),
+        ({"type": "zhsl", "n": 2, "q": None}, "'q'"),
+        ({"type": "zhsl", "n": 2, "q": True}, "'q'"),
+        ({"type": "zhsl", "n": 2, "q": "0.5"}, "'q'"),
+        ({"type": "zhsl", "n": 2, "q": {"a": 1}}, "'q'"),
+        ({"type": "zhsl", "n": 2, "q": [0, None]}, "'q'"),
+        ({"type": "bloch", "u": None}, "'u'"),
+        ({"type": "bloch", "u": "0.5"}, "'u'"),
+        ({"type": "bloch", "u": False}, "'u'"),
+        ({"type": "bloch"}, "'u'"),
+        ({"type": "product", "factors": 5}, "'factors'"),
+        ({"type": "product", "factors": [3]}, "'factors'"),
+        ({"type": "product", "factors": {"type": "bloch", "u": 0}}, "'factors'"),
+        ({"type": "product", "factors": [{"type": "bloch", "u": None}]}, "'u'"),
+        ({"type": "haar-dirichlet", "n": 2}, "'haar-dirichlet'"),
+    ],
+)
+def test_measure_json_names_the_malformed_field(payload, named):
+    with pytest.raises(ValueError) as exc:
+        measure_from_json(payload)
+    assert named in str(exc.value)
+
+
 def test_spec_stores_exponents_as_given_and_rejects_non_finite_ones():
     # a shared exponent is broadcast per level and kept exact for the oracle
     spec = HaarDirichletMeasure(n=3, q=Fraction(1, 3))

@@ -13,7 +13,6 @@ from rhomean.linalg import hermitian_eig
 from rhomean.montecarlo import estimate_mean
 from rhomean.oracle import haar_mean
 from rhomean.spectral import (
-    SymbolicEntry,
     SymbolicMatrix,
     cluster_spectrum,
     eigenvector_check,
@@ -26,9 +25,10 @@ fractions_st = st.fractions(min_value=-2, max_value=2, max_denominator=60)
 
 
 def symbolic_from_lists(rs, ss):
-    n = len(rs)
-    entries = [[SymbolicEntry(F(rs[i][j]), F(ss[i][j])) for j in range(n)] for i in range(n)]
-    return SymbolicMatrix.from_entries(entries)
+    def part(rows):
+        return np.array([[F(x) for x in row] for row in rows], dtype=object)
+
+    return SymbolicMatrix(part(rs), part(ss))
 
 
 def test_substitute_and_selection_consistency():
