@@ -57,6 +57,9 @@ def _check_entry_count(obj: dict) -> tuple[int, int, list]:
         raise ValueError(f"matrix JSON is a {type(obj).__name__}, not an object")
     rows, cols, entries = (_field(obj, name, "matrix JSON") for name in ("rows", "cols", "entries"))
     rows, cols = _json_int(rows, "rows", "matrix JSON"), _json_int(cols, "cols", "matrix JSON")
+    for name, size in (("rows", rows), ("cols", cols)):
+        if size < 1:
+            raise ValueError(f"matrix JSON field {name!r} holds {size}, not a positive integer")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError("entry count does not match rows * cols")
     return rows, cols, entries

@@ -247,7 +247,14 @@ def simplex_points(n: int, q, size: int, gen: np.random.Generator) -> np.ndarray
         g = gen.standard_gamma(1.0 - q[0], size=(size, n))
     else:
         g = gen.gamma(1.0 - q, size=(size, n))
-    return g / g.sum(axis=1, keepdims=True)
+    total = g.sum(axis=1, keepdims=True)
+    if not np.all(total > 0):
+        # exponents near 0 underflow every variate of a row, which would be 0/0
+        raise ValueError(
+            f"Dirichlet exponents 1 - q = {(1.0 - q).tolist()} are too close to 0: "
+            "every gamma variate of a draw underflowed to 0"
+        )
+    return g / total
 
 
 def sample_simplex(n: int, q, rng) -> np.ndarray:

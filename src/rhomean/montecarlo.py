@@ -8,12 +8,16 @@ An entry of rho^(x m) is the product of the m entries rho[i_k, j_k], so it
 depends only on the multiset of its m (row, col) pairs: of the D^(2m) entries
 only C(D^2 + m - 1, m) are distinct.  This holds for every tensor power,
 whatever the measure, so the estimator still assumes nothing about the law.
-Each chunk forms just those distinct monomials from the flattened draws and
-reduces them to (count, mean, sum-of-squared-deviations) with numpy's pairwise
-summation, a block of monomials of about ``BLOCK_BYTES`` at a time, so that a
-block and its temporaries stay in cache.  Each monomial's samples lie
-contiguously in one row of its block and numpy sums that row by itself, so the
-block width changes no bit.  Chunks are then merged in a deterministic binary
+Each chunk forms just those distinct monomials from the entry rows of its
+draws, level by level in colex order: the k-factor monomials whose largest
+factor is entry b are the first rows of the (k - 1)-factor level times entry
+row b, one broadcast multiply of contiguous rows with no gather.  The last
+level goes straight into a buffer of about ``BLOCK_BYTES`` that stays in cache,
+and is reduced there, deviations squared in place, to (count, mean,
+sum-of-squared-deviations) with numpy's pairwise summation.  Each monomial's
+samples lie contiguously in one row of its block and numpy sums that row by
+itself, so the block width changes no bit, and the results are put back in
+``monomial_pairs`` order.  Chunks are then merged in a deterministic binary
 tree, which keeps repeated runs bitwise identical, and the merged vectors are
 scattered to the D^m x D^m matrix once at the end.
 
@@ -21,9 +25,9 @@ With ``workers > 1`` the chunks run in one ``fork`` pool per process.  It is
 forked by the first call that has more than one chunk, reused by later calls,
 replaced when a call needs another number of processes, and terminated at
 interpreter exit by a multiprocessing finalizer.  A chunk reads no table
-the parent built after the fork: it only needs ``monomial_pairs``, which each
-worker caches for itself.  Calls that share the pool are meant to come from
-one thread at a time.
+the parent built after the fork: it only needs ``monomial_pairs`` and the
+colex plan built from it, which each worker caches for itself.  Calls that
+share the pool are meant to come from one thread at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
+from math import comb
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,10 +61,12 @@ if TYPE_CHECKING:
 #: computes: re-sizing them would re-draw every seeded estimate.
 _CHUNK_ENTRY_BUDGET = 2_000_000
 
-#: Bytes of complex monomial samples a chunk reduces at a time.  A block, its
-#: gathered factor and its squared deviations then take about 2.5x this, which
-#: stays inside a 2 MiB L2 cache; 256-512 KiB timed best in a sweep from
-#: 64 KiB to 4 MiB.  The width of a block moves no bit of the result.
+#: Bytes of complex monomial samples a chunk reduces at a time.  A block is
+#: multiplied, centred and squared in place in one buffer of this size, with
+#: no temporary of its own, so it stays inside a 2 MiB L2 cache beside the
+#: rows it reads.  256-512 KiB timed best for the earlier gathering kernel in
+#: a sweep from 64 KiB to 4 MiB, and 384 KiB is still among the fastest for
+#: the level build.  The width of a block moves no bit of the result.
 BLOCK_BYTES = 384 * 1024
 
 #: Fewest samples ``estimate_mean`` accepts.
@@ -82,6 +89,22 @@ def monomial_pairs(dim: int, m: int) -> np.ndarray:
     pairs = np.fromiter(chain.from_iterable(rows), dtype=np.int64).reshape(-1, m)
     pairs.flags.writeable = False
     return pairs
+
+
+@lru_cache(maxsize=None)
+def _colex_plan(dim: int, m: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The order in which ``_chunk_stats`` builds the monomials of rho^(x m).
+
+    Level k holds the k-multisets of the dim^2 flat positions in colex order:
+    first by their largest position b, then in level k - 1's order.  So group b
+    of level k is the first ``sizes[k - 1][b] = comb(b + k - 1, k - 1)`` rows
+    of level k - 1, times entry row b.  ``ranks[i]`` is the ``monomial_pairs``
+    row of the i-th monomial of level m, a read-only int64 permutation.
+    """
+    ranks = np.lexsort(monomial_pairs(dim, m).T)
+    ranks.flags.writeable = False
+    sizes = tuple(tuple(comb(b + k - 1, k - 1) for b in range(dim * dim)) for k in range(1, m + 1))
+    return ranks, sizes
 
 
 # an index holds D^2 intp (134 MB at D = 4096), so only the last two sizes stay
@@ -137,31 +160,59 @@ class MeanEstimate:
 def _chunk_stats(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(count, mean, M2_re, M2_im) of one chunk over the distinct monomials.
 
-    The monomials are formed and reduced in blocks of ``BLOCK_BYTES // (16 *
-    count)`` of them, at least one.  This is bitwise neutral: a block holds one
-    C-contiguous row of samples per monomial, and numpy reduces each row by
-    itself with pairwise summation, so a monomial's mean and M2 do not depend
-    on which block it falls in or how wide that block is.
+    The monomials are built level by level in ``_colex_plan``'s order: each
+    group of level k is one broadcast multiply of contiguous rows of level
+    k - 1 by one entry row, so every monomial multiplies its sorted factors
+    left to right.  Levels 2..m - 1 are stored; level m goes straight into a
+    buffer of ``BLOCK_BYTES // (16 * count)`` rows, at least one, and is
+    reduced there.  This is bitwise neutral: the buffer holds one C-contiguous
+    row of samples per monomial, and numpy reduces each row by itself with
+    pairwise summation, so a monomial's mean and M2 do not depend on which
+    block it falls in or how wide that block is.
     """
     spec, m, seed, chunk_index, count = args
     gen = RandomStream(seed, chunk_index).generator()
     # the sampler's own entry-major rows: a monomial's factors are contiguous rows
     entries = sample_density_batch(spec, count, gen).transpose(1, 2, 0).reshape(-1, count)
-    pairs = monomial_pairs(spec.dim, m)
-    mean = np.empty(len(pairs), dtype=complex)
-    m2_re, m2_im = np.empty(len(pairs)), np.empty(len(pairs))
+    ranks, sizes = _colex_plan(spec.dim, m)
+    # entry row b is multiplied in as the (1, count) slice entries[b : b + 1]:
+    # broadcast as a (count,) row, a lone (1, 1) block is multiplied without
+    # FMA, so at count 1 a one-row block would round unlike a wider one
+    level = entries
+    for k in range(2, m):
+        below, level = level, np.empty((sum(sizes[k - 1]), count), dtype=complex)
+        start = 0
+        for b, rows in enumerate(sizes[k - 1]):
+            np.multiply(below[:rows], entries[b : b + 1], out=level[start : start + rows])
+            start += rows
+    if m == 1:
+        groups = [(entries, None)]
+    else:
+        groups = [(level[:rows], entries[b : b + 1]) for b, rows in enumerate(sizes[m - 1])]
     width = max(1, BLOCK_BYTES // (16 * count))
-    for start in range(0, len(pairs), width):
-        cols = slice(start, start + width)
-        block = pairs[cols].T
-        power = entries[block[0]]
-        for k in range(1, m):
-            power *= entries[block[k]]
-        mean[cols] = power.mean(axis=1)
-        # a complex subtraction is the two real ones, so M2 keeps its bits
-        power -= mean[cols, None]
-        m2_re[cols] = np.square(power.real).sum(axis=1)
-        m2_im[cols] = np.square(power.imag).sum(axis=1)
+    buffer = np.empty((min(width, len(level)), count), dtype=complex)
+    mean = np.empty(len(ranks), dtype=complex)
+    m2_re, m2_im = np.empty(len(ranks)), np.empty(len(ranks))
+    done = 0
+    for factors, last in groups:
+        for start in range(0, len(factors), width):
+            part = factors[start : start + width]
+            block = buffer[: len(part)]
+            if last is None:
+                block[...] = part
+            else:
+                np.multiply(part, last, out=block)
+            at = ranks[done : done + len(block)]
+            done += len(block)
+            mu = block.mean(axis=1)
+            mean[at] = mu
+            # a complex subtraction is the two real ones, so M2 keeps its bits
+            block -= mu[:, None]
+            # squared in place: a strided row sums pairwise in the same order
+            squares = block.view(float)
+            np.square(squares, out=squares)
+            m2_re[at] = block.real.sum(axis=1)
+            m2_im[at] = block.imag.sum(axis=1)
     return count, mean, m2_re, m2_im
 
 

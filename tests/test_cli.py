@@ -29,7 +29,7 @@ from rhomean.jsonio import (
     rational_matrix_to_json,
 )
 from rhomean.montecarlo import estimate_mean
-from rhomean.measures import HaarDirichletMeasure
+from rhomean.measures import HaarDirichletMeasure, measure_from_json
 from rhomean.linalg import distinct_entries
 from rhomean.oracle import haar_mean, labelled_kron
 from rhomean.symmetry import cycle_type, partitions
@@ -79,7 +79,7 @@ def test_oracle_artifact_round_trips_at_ten_slots():
     from fractions import Fraction
 
     from rhomean.linalg import Scenario
-    from rhomean.measures import HaarDirichletMeasure
+    from rhomean.measures import HaarDirichletMeasure, measure_from_json
     from rhomean.oracle import OracleResult
     from rhomean.symmetry import partitions
 
@@ -563,6 +563,18 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_mean_exits_1_when_every_simplex_variate_of_a_draw_underflows(capsys):
+    # without the check the estimate was all NaN, written as invalid JSON, with exit 0
+    measure = '{"type":"zhsl","n":2,"q":0.999}'
+    with pytest.raises(ValueError, match="underflowed to 0"):
+        estimate_mean(measure_from_json(json.loads(measure)), 1, 10_000, seed=1)
+    args = ["mean", "--measure", measure, "--m", "1", "--samples", "10000", "--seed", "1"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("rhomean: error: Dirichlet exponents 1 - q = [0.001")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "matrix, named",
     [
@@ -581,6 +593,9 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
         (["1/2", "1/2"], "list, not an object"),
         ({"rows": "2", "cols": 1, "entries": ["1", "0"]}, "'rows'"),
         ({"rows": 1, "cols": 1, "entries": "1"}, "rows * cols"),
+        ({"rows": -1, "cols": -1, "entries": ["1"]}, "'rows' holds -1"),
+        ({"rows": 0, "cols": 5, "entries": []}, "'rows' holds 0"),
+        ({"rows": 1, "cols": 0, "entries": []}, "'cols' holds 0"),
     ],
 )
 def test_spectrum_rejects_malformed_matrix_files(tmp_path, capsys, matrix, named):

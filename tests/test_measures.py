@@ -241,6 +241,14 @@ def test_simplex_moments():
         sample_simplex(2, 1.0, RandomStream(0))
 
 
+def test_simplex_rows_that_underflow_raise_and_name_the_exponents():
+    # at q = 0.999 about a fifth of the rows have every gamma variate at 0
+    for q in (0.999, [0.999, 0.9995]):
+        with pytest.raises(ValueError, match=r"exponents 1 - q = \[0\.001") as exc:
+            simplex_points(2, q, 10_000, gen(1))
+        assert "underflowed to 0" in str(exc.value)
+
+
 def test_bloch_radial_law():
     # r^2 ~ Beta(3/2, 1-u): E[r^2] = (3/2)/(5/2-u) = 3/4 at u = 1/2
     rho = sample_density_batch(BlochBallMeasure(u=0.5), 100_000, gen(8))

@@ -9,6 +9,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rhomean import montecarlo
 from rhomean.fixtures import get_fixture
@@ -22,6 +24,7 @@ from rhomean.measures import (
 )
 from rhomean.montecarlo import (
     _chunk_stats,
+    _colex_plan,
     chunk_size_for,
     convergence_report,
     estimate_mean,
@@ -122,7 +125,9 @@ def test_worker_count_does_not_change_result():
 
 
 @pytest.mark.parametrize(
-    "spec, m", [(BlochBallMeasure(u=-2.0), 4), (PAIR_22, 2)], ids=["bloch-m4", "2x2-m2"]
+    "spec, m",
+    [(BlochBallMeasure(u=-2.0), 4), (PAIR_22, 2), (BlochBallMeasure(u=-2.0), 3), (PAIR_23, 3)],
+    ids=["bloch-m4", "2x2-m2", "bloch-m3", "2x3-m3"],
 )
 def test_worker_count_does_not_change_monomial_reduction(spec, m):
     a = estimate_mean(spec, m, 20_000, seed=14, workers=1)
@@ -151,6 +156,25 @@ def test_monomial_table_counts_distinct_entries(dim, m, expected):
     rho = np.arange(1, dim * dim + 1, dtype=float).reshape(dim, dim) / (dim * dim)
     products = np.prod(rho.reshape(-1)[pairs], axis=1)
     assert np.allclose(products[index].reshape(dim**m, dim**m), tensor_power(rho, m))
+
+
+@pytest.mark.parametrize("dim, m", [(2, 1), (2, 2), (2, 4), (3, 4), (2, 6), (6, 2), (6, 3)])
+def test_colex_plan_orders_each_level_by_its_largest_factor(dim, m):
+    pairs = monomial_pairs(dim, m)
+    ranks, sizes = _colex_plan(dim, m)
+    assert ranks.dtype == np.int64 and not ranks.flags.writeable
+    assert np.array_equal(np.sort(ranks), np.arange(len(pairs)))
+    assert np.array_equal(ranks, np.lexsort(pairs.T))
+    d2 = dim * dim
+    assert sizes == tuple(tuple(comb(b + k - 1, k - 1) for b in range(d2)) for k in range(1, m + 1))
+    # the kernel's construction, on multisets: group b of level k is the first
+    # sizes[k - 1][b] rows of level k - 1, each with b appended
+    level = [()]
+    for k in range(1, m + 1):
+        assert all(rows <= len(level) for rows in sizes[k - 1])
+        level = [row + (b,) for b, rows in enumerate(sizes[k - 1]) for row in level[:rows]]
+        assert len(level) == comb(d2 + k - 1, k)
+    assert np.array_equal(np.array(level, dtype=np.int64).reshape(-1, m), pairs[ranks])
 
 
 def _one_shot_index(dim, m):
@@ -199,8 +223,10 @@ def _one_shot_chunk_stats(args):
         (HaarDirichletMeasure(n=3), 1, 8192, True),
         (HaarDirichletMeasure(n=3), 2, 8192, True),
         (HaarDirichletMeasure(n=2), 2, 100, False),
+        (BlochBallMeasure(u=-2.0), 3, 8192, True),
+        (PAIR_23, 3, 42, True),
     ],
-    ids=["bloch-m4", "2x3-m2", "zhsl-n3m1", "zhsl-n3m2", "one-block"],
+    ids=["bloch-m4", "2x3-m2", "zhsl-n3m1", "zhsl-n3m2", "one-block", "bloch-m3", "2x3-m3"],
 )
 def test_blocked_chunk_stats_match_one_shot_bitwise(spec, m, count, split, width, monkeypatch):
     n_monomials = len(monomial_pairs(spec.dim, m))
@@ -213,6 +239,37 @@ def test_blocked_chunk_stats_match_one_shot_bitwise(spec, m, count, split, width
     args = (spec, m, 17, 3, count)
     got, want = _chunk_stats(args), _one_shot_chunk_stats(args)
     assert got[0] == want[0] == count
+    for name, a, b in zip(("mean", "M2_re", "M2_im"), got[1:], want[1:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+_ZHSL = st.builds(HaarDirichletMeasure, n=st.integers(2, 4), q=st.sampled_from([0.0, 0.5, -1.0]))
+_BLOCH = st.builds(BlochBallMeasure, u=st.sampled_from([-2.0, 0.0, 0.5]))
+_SMALL = st.one_of(st.builds(HaarDirichletMeasure, n=st.integers(2, 3)), _BLOCH)
+
+
+@st.composite
+def _chunk_args(draw):
+    factors = st.lists(_SMALL, min_size=2, max_size=3).map(tuple)
+    spec = draw(st.one_of(_ZHSL, _BLOCH, st.builds(ProductMeasure, factors=factors)))
+    d2 = spec.dim**2
+    # at most about 4000 monomials, so the one-shot reference stays small
+    m = draw(st.integers(1, max(k for k in range(1, 5) if comb(d2 + k - 1, k) <= 4000)))
+    seed, chunk_index = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 9))
+    return spec, m, seed, chunk_index, draw(st.integers(1, 600))
+
+
+@given(_chunk_args(), st.sampled_from([None, 1, 2, 7, 64]))
+# numpy multiplies a lone (1, 1) block broadcast against a (count,) row without
+# FMA, so at count 1 a one-row block must meet its entry row as a (1, count) row
+@example((HaarDirichletMeasure(n=2), 2, 0, 0, 1), 1)
+@settings(max_examples=100, deadline=None)
+def test_colex_chunk_stats_match_one_shot_bitwise(args, width):
+    with pytest.MonkeyPatch.context() as patch:
+        if width is not None:
+            patch.setattr(montecarlo, "BLOCK_BYTES", 16 * args[-1] * width)
+        got, want = _chunk_stats(args), _one_shot_chunk_stats(args)
+    assert got[0] == want[0] == args[-1]
     for name, a, b in zip(("mean", "M2_re", "M2_im"), got[1:], want[1:]):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -234,6 +291,7 @@ def fresh_pool():
         montecarlo._end_pool(os.getpid())
     monomial_pairs.cache_clear()
     monomial_table.cache_clear()
+    _colex_plan.cache_clear()
 
 
 def test_pool_is_forked_once_and_reused(fresh_pool):
