@@ -252,11 +252,24 @@ def _field(obj: dict, name: str, what: str = "oracle artifact"):
     return obj[name]
 
 
+def _check_dim(rows: int, cols: int, scenario: Scenario, what: str) -> None:
+    base, m = scenario.base_dim, scenario.power
+    # base >= 2, so base**m > rows once m >= rows.bit_length(): a huge 'm' is never raised to
+    if rows != cols or m >= rows.bit_length() or base**m != rows:
+        raise ValueError(
+            f"{what} field 'matrix' is {rows}x{cols}, not D x D with D = {base}^{m} "
+            f"for 'factors' {list(scenario.factors)} and 'm' {m}"
+        )
+
+
 def oracle_result_from_json(obj: dict) -> OracleResult:
     factors = _int_list(_field(obj, "factors"), "factors")
     m = _json_int(_field(obj, "m"), "m")
+    scenario = Scenario(factors=factors, power=m)
     coeffs = None
     if "coefficients" in obj:
+        if len(factors) != 1:
+            raise ValueError(f"oracle artifact field 'coefficients' is for one law, not factors {list(factors)}")
         form = obj.get("coefficients_form")
         if form != "class":
             raise ValueError(f"unknown coefficients_form {form!r}")
@@ -277,12 +290,14 @@ def oracle_result_from_json(obj: dict) -> OracleResult:
         HaarDirichletMeasure(n, tuple(_rational(x, "'q' entry") for x in qs))
         for n, qs in zip(factors, q)
     ]
+    rows, cols, entries = _check_entry_count(_field(obj, "matrix"))
+    _check_dim(rows, cols, scenario, "oracle artifact")
     return OracleResult(
-        scenario=Scenario(factors=factors, power=m),
+        scenario=scenario,
         measure=laws[0] if len(laws) == 1 else ProductMeasure(tuple(laws)),
         class_coefficients=coeffs,
         factor_spectra=factor_spectra,
-        matrix=_labelled_rationals(*_check_entry_count(_field(obj, "matrix"))),
+        matrix=_labelled_rationals(rows, cols, entries),
     )
 
 
@@ -321,17 +336,23 @@ def estimate_from_json(obj: dict) -> MeanEstimate:
         return _json_int(_field(obj, name, _ESTIMATE), name, _ESTIMATE)
 
     mean = complex_matrix_from_json(_field(obj, "matrix", _ESTIMATE))
+    measure = measure_from_json(_field(obj, "measure", _ESTIMATE))
+    scenario = Scenario(
+        factors=_int_list(_field(obj, "factors", _ESTIMATE), "factors", _ESTIMATE),
+        power=integer("m"),
+    )
+    dims = [f.dim for f in factor_laws(measure)]
+    if list(scenario.factors) != dims:
+        raise ValueError(f"{_ESTIMATE} field 'factors' is {list(scenario.factors)}, but its 'measure' has {dims}")
+    _check_dim(*mean.shape, scenario, _ESTIMATE)
     return MeanEstimate(
         mean=mean,
         n_samples=integer("n_samples"),
         stderr=_stderr_matrix(obj, "stderr", mean.shape),
         stderr_real=_stderr_matrix(obj, "stderr_real", mean.shape),
         stderr_imag=_stderr_matrix(obj, "stderr_imag", mean.shape),
-        measure=measure_from_json(_field(obj, "measure", _ESTIMATE)),
-        scenario=Scenario(
-            factors=_int_list(_field(obj, "factors", _ESTIMATE), "factors", _ESTIMATE),
-            power=integer("m"),
-        ),
+        measure=measure,
+        scenario=scenario,
         seed=integer("seed"),
         workers=integer("workers"),
     )

@@ -153,6 +153,8 @@ def hermitian_eig(h: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarr
     eigenvalues.
     """
     h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"matrix of shape {h.shape} is not square")
     if h.dtype == object:
         h = h.astype(np.complex128)
     defect = np.abs(h - h.conj().T).max()

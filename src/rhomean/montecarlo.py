@@ -16,18 +16,19 @@ level goes straight into a buffer of about ``BLOCK_BYTES`` that stays in cache,
 and is reduced there, deviations squared in place, to (count, mean,
 sum-of-squared-deviations) with numpy's pairwise summation.  Each monomial's
 samples lie contiguously in one row of its block and numpy sums that row by
-itself, so the block width changes no bit, and the results are put back in
-``monomial_pairs`` order.  Chunks are then merged in a deterministic binary
-tree, which keeps repeated runs bitwise identical, and the merged vectors are
-scattered to the D^m x D^m matrix once at the end.
+itself, so the block width changes no bit, and each block's results go to
+their own contiguous slice of the chunk's colex-ordered vectors.  Chunks are
+then merged in a deterministic binary tree, which keeps repeated runs bitwise
+identical, and the merged vectors are scattered to the D^m x D^m matrix once
+at the end through ``monomial_index``, which ranks each entry's monomial in
+closed form.
 
 With ``workers > 1`` the chunks run in one ``fork`` pool per process.  It is
 forked by the first call that has more than one chunk, reused by later calls,
 replaced when a call needs another number of processes, and terminated at
-interpreter exit by a multiprocessing finalizer.  A chunk reads no table
-the parent built after the fork: it only needs ``monomial_pairs`` and the
-colex plan built from it, which each worker caches for itself.  Calls that
-share the pool are meant to come from one thread at a time.
+interpreter exit by a multiprocessing finalizer.  A chunk reads no table: its
+group sizes and offsets are binomials.  Calls that share the pool are meant to
+come from one thread at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -77,61 +77,31 @@ def chunk_size_for(dim: int) -> int:
     return max(32, min(8192, _CHUNK_ENTRY_BUDGET // (dim * dim)))
 
 
-@lru_cache(maxsize=None)
-def monomial_pairs(dim: int, m: int) -> np.ndarray:
-    """The distinct monomials of rho^(x m) for a dim x dim rho, one per row.
-
-    Row k of the read-only (M, m) int64 array holds the sorted flat positions
-    i * dim + j of the m entries of rho whose product is monomial k; the rows
-    are the m-multisets of range(dim^2) in lexicographic order.
-    """
-    rows = combinations_with_replacement(range(dim * dim), m)
-    pairs = np.fromiter(chain.from_iterable(rows), dtype=np.int64).reshape(-1, m)
-    pairs.flags.writeable = False
-    return pairs
-
-
-@lru_cache(maxsize=None)
-def _colex_plan(dim: int, m: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """The order in which ``_chunk_stats`` builds the monomials of rho^(x m).
-
-    Level k holds the k-multisets of the dim^2 flat positions in colex order:
-    first by their largest position b, then in level k - 1's order.  So group b
-    of level k is the first ``sizes[k - 1][b] = comb(b + k - 1, k - 1)`` rows
-    of level k - 1, times entry row b.  ``ranks[i]`` is the ``monomial_pairs``
-    row of the i-th monomial of level m, a read-only int64 permutation.
-    """
-    ranks = np.lexsort(monomial_pairs(dim, m).T)
-    ranks.flags.writeable = False
-    sizes = tuple(tuple(comb(b + k - 1, k - 1) for b in range(dim * dim)) for k in range(1, m + 1))
-    return ranks, sizes
-
-
 # an index holds D^2 intp (134 MB at D = 4096), so only the last two sizes stay
 @lru_cache(maxsize=2)
-def monomial_table(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct entries of rho^(x m) for a dim x dim rho, as products of m entries.
+def monomial_index(dim: int, m: int) -> np.ndarray:
+    """The monomial of each entry of rho^(x m) for a dim x dim rho.
 
-    Returns ``(monomial_pairs(dim, m), index)``: ``index[I * dim**m + J]`` is
-    the monomial of entry (I, J) of the row-major Kronecker power.  An entry's
-    sorted pair codes, read in base dim^2, give a key that fits int64 because
-    dim^(2m) <= DIM_CAP^2; the rows of ``monomial_pairs`` are lexicographic, so
-    their keys are sorted and each entry's monomial is found by bisection.  The
+    ``index[I * dim**m + J]`` is the colex rank, the order in which
+    ``_chunk_stats`` builds the monomials, of the multiset of flat positions
+    i_k * dim + j_k of the m entries of rho whose product is entry (I, J) of
+    the row-major Kronecker power.  Sorted as a_0 <= ... <= a_(m-1), a multiset
+    has rank sum_k comb(a_k + k, k + 1), read from an (m, dim^2) table.  The
     index is built a block of rows I at a time, with about ``BLOCK_BYTES`` of
     codes per block.
     """
-    pairs = monomial_pairs(dim, m)
-    weights = (dim * dim) ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    keys = pairs @ weights
+    table = np.array([[comb(a + k, k + 1) for a in range(dim * dim)] for k in range(m)], dtype=np.intp)
     size = dim**m
     # the m base-dim digits of every row (and column) number, most significant first
     digits = np.indices((dim,) * m, dtype=np.int32).reshape(m, -1).T
     index = np.empty(size * size, dtype=np.intp)
     rows = max(1, BLOCK_BYTES // (4 * m * size))
+    slots = np.arange(m)
     for start in range(0, size, rows):
         codes = np.sort(digits[start : start + rows, None] * dim + digits, axis=2)
-        index[start * size : (start + rows) * size] = np.searchsorted(keys, codes @ weights).ravel()
-    return pairs, index
+        index[start * size : (start + rows) * size] = table[slots, codes].sum(axis=2).ravel()
+    index.flags.writeable = False
+    return index
 
 
 @dataclass(frozen=True)
@@ -160,39 +130,41 @@ class MeanEstimate:
 def _chunk_stats(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(count, mean, M2_re, M2_im) of one chunk over the distinct monomials.
 
-    The monomials are built level by level in ``_colex_plan``'s order: each
-    group of level k is one broadcast multiply of contiguous rows of level
-    k - 1 by one entry row, so every monomial multiplies its sorted factors
-    left to right.  Levels 2..m - 1 are stored; level m goes straight into a
-    buffer of ``BLOCK_BYTES // (16 * count)`` rows, at least one, and is
-    reduced there.  This is bitwise neutral: the buffer holds one C-contiguous
-    row of samples per monomial, and numpy reduces each row by itself with
-    pairwise summation, so a monomial's mean and M2 do not depend on which
-    block it falls in or how wide that block is.
+    The monomials are built level by level in colex order: group b of level k,
+    the k-multisets whose largest flat position is b, is rows
+    comb(b + k - 1, k) to comb(b + k, k) of the level, one broadcast multiply
+    of the first comb(b + k - 1, k - 1) rows of level k - 1 by entry row b.  So
+    every monomial multiplies its sorted factors left to right.  Levels
+    2..m - 1 are stored; level m goes straight into a buffer of
+    ``BLOCK_BYTES // (16 * count)`` rows, at least one, and is reduced there
+    into the block's own slice of the outputs.  This is bitwise neutral: the
+    buffer holds one C-contiguous row of samples per monomial, and numpy
+    reduces each row by itself with pairwise summation, so a monomial's mean
+    and M2 do not depend on which block it falls in or how wide that block is.
     """
     spec, m, seed, chunk_index, count = args
     gen = RandomStream(seed, chunk_index).generator()
     # the sampler's own entry-major rows: a monomial's factors are contiguous rows
     entries = sample_density_batch(spec, count, gen).transpose(1, 2, 0).reshape(-1, count)
-    ranks, sizes = _colex_plan(spec.dim, m)
+    d2 = len(entries)
     # entry row b is multiplied in as the (1, count) slice entries[b : b + 1]:
     # broadcast as a (count,) row, a lone (1, 1) block is multiplied without
     # FMA, so at count 1 a one-row block would round unlike a wider one
     level = entries
     for k in range(2, m):
-        below, level = level, np.empty((sum(sizes[k - 1]), count), dtype=complex)
-        start = 0
-        for b, rows in enumerate(sizes[k - 1]):
-            np.multiply(below[:rows], entries[b : b + 1], out=level[start : start + rows])
-            start += rows
+        below, level = level, np.empty((comb(d2 + k - 1, k), count), dtype=complex)
+        for b in range(d2):
+            out = level[comb(b + k - 1, k) : comb(b + k, k)]
+            np.multiply(below[: len(out)], entries[b : b + 1], out=out)
     if m == 1:
         groups = [(entries, None)]
     else:
-        groups = [(level[:rows], entries[b : b + 1]) for b, rows in enumerate(sizes[m - 1])]
+        groups = [(level[: comb(b + m - 1, m - 1)], entries[b : b + 1]) for b in range(d2)]
     width = max(1, BLOCK_BYTES // (16 * count))
     buffer = np.empty((min(width, len(level)), count), dtype=complex)
-    mean = np.empty(len(ranks), dtype=complex)
-    m2_re, m2_im = np.empty(len(ranks)), np.empty(len(ranks))
+    size = comb(d2 + m - 1, m)
+    mean = np.empty(size, dtype=complex)
+    m2_re, m2_im = np.empty(size), np.empty(size)
     done = 0
     for factors, last in groups:
         for start in range(0, len(factors), width):
@@ -202,17 +174,16 @@ def _chunk_stats(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
                 block[...] = part
             else:
                 np.multiply(part, last, out=block)
-            at = ranks[done : done + len(block)]
+            at = slice(done, done + len(block))
             done += len(block)
-            mu = block.mean(axis=1)
-            mean[at] = mu
+            mu = block.mean(axis=1, out=mean[at])
             # a complex subtraction is the two real ones, so M2 keeps its bits
             block -= mu[:, None]
             # squared in place: a strided row sums pairwise in the same order
             squares = block.view(float)
             np.square(squares, out=squares)
-            m2_re[at] = block.real.sum(axis=1)
-            m2_im[at] = block.imag.sum(axis=1)
+            block.real.sum(axis=1, out=m2_re[at])
+            block.imag.sum(axis=1, out=m2_im[at])
     return count, mean, m2_re, m2_im
 
 
@@ -301,7 +272,7 @@ def estimate_mean(
     if n_samples % size:
         counts.append(n_samples % size)
     jobs = [(spec, m, seed, i, c) for i, c in enumerate(counts)]
-    _, index = monomial_table(spec.dim, m)
+    index = monomial_index(spec.dim, m)
 
     processes = min(workers, len(jobs))
     if processes == 1:

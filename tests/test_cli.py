@@ -30,8 +30,8 @@ from rhomean.jsonio import (
 )
 from rhomean.montecarlo import estimate_mean
 from rhomean.measures import HaarDirichletMeasure, measure_from_json
-from rhomean.linalg import distinct_entries
-from rhomean.oracle import haar_mean, labelled_kron
+from rhomean.linalg import Scenario, distinct_entries
+from rhomean.oracle import composite_haar_mean, haar_mean, labelled_kron
 from rhomean.symmetry import cycle_type, partitions
 
 DATA = Path(__file__).parent / "data"
@@ -90,8 +90,9 @@ def test_oracle_artifact_round_trips_at_ten_slots():
         scenario=Scenario(factors=(2,), power=10),
         measure=HaarDirichletMeasure(n=2),
         class_coefficients=class_coefficients,
-        # a labelled stand-in: these coefficients are no law's mean
-        matrix=([Fraction(1, 1024)], np.zeros((1, 1), dtype=np.intp)),
+        # a labelled stand-in of the artifact's 1024 x 1024 size: these
+        # coefficients are no law's mean
+        matrix=([Fraction(1, 1024)], np.zeros((1024, 1024), dtype=np.intp)),
     )
     payload = oracle_result_to_json(result)
     assert len(payload["coefficients"]) == 42
@@ -101,7 +102,8 @@ def test_oracle_artifact_round_trips_at_ten_slots():
     assert back.class_coefficients == class_coefficients
     assert back.scenario == result.scenario
     assert back.measure == result.measure
-    assert back.mean.tolist() == [[Fraction(1, 1024)]]
+    values, labels = back.labelled
+    assert values == [Fraction(1, 1024)] and labels.shape == (1024, 1024) and not labels.any()
 
 
 def test_oracle_artifact_keys_one_coefficient_per_class():
@@ -160,6 +162,9 @@ def test_oracle_artifact_reads_only_class_keys():
         ("factor_spectra", [None], "'factor_spectra'"),
         ("q", [], "'q' has 0 rows for 1 factors"),
         ("q", [["0", "0"], ["0", "0"]], "'q' has 2 rows for 1 factors"),
+        # a matrix that is not D x D for D = 2^2
+        ("matrix", {"rows": 2, "cols": 2, "entries": ["1/2", "0", "0", "1/2"]}, "'matrix' is 2x2"),
+        ("matrix", {"rows": 2, "cols": 8, "entries": ["1/16"] * 16}, "'matrix' is 2x8"),
     ],
 )
 def test_oracle_artifact_rejects_mistyped_fields(field, value, named):
@@ -167,6 +172,16 @@ def test_oracle_artifact_rejects_mistyped_fields(field, value, named):
     with pytest.raises(ValueError) as exc:
         oracle_result_from_json({**payload, field: value})
     assert named in str(exc.value)
+
+
+def test_oracle_artifact_rejects_class_coefficients_on_a_product():
+    # a product law has factor spectra and no class coefficients; read with
+    # some, its spectrum() failed on unpacking the factors
+    single = oracle_result_to_json(haar_mean(2, 2, 0))
+    product = json.loads(json.dumps(oracle_result_to_json(composite_haar_mean(Scenario((2, 2), 2)))))
+    assert "coefficients" not in product and oracle_result_from_json(product).factor_spectra
+    with pytest.raises(ValueError, match=r"'coefficients' is for one law, not factors \[2, 2\]"):
+        oracle_result_from_json({**product, "coefficients_form": "class", "coefficients": single["coefficients"]})
 
 
 @pytest.mark.parametrize("field", ["factors", "m", "q", "matrix"])
@@ -275,6 +290,11 @@ def test_estimate_artifact_rejects_missing_fields(estimate_payload, field):
         ("measure", {"type": "zhsl", "n": 2, "q": None}, "'q'"),
         ("measure", "zhsl", "str, not an object"),
         ("matrix", [1, 2], "list, not an object"),
+        # the 4x4 mean of a two-level measure at m = 2
+        ("m", 3, "'matrix' is 4x4, not D x D with D = 2^3"),
+        ("m", 1, "'matrix' is 4x4, not D x D with D = 2^1"),
+        ("factors", [3], "'factors' is [3], but its 'measure' has [2]"),
+        ("factors", [2, 2], "'factors' is [2, 2], but its 'measure' has [2]"),
     ],
 )
 def test_estimate_artifact_rejects_mistyped_fields(estimate_payload, field, value, named):
@@ -596,6 +616,7 @@ def test_mean_exits_1_when_every_simplex_variate_of_a_draw_underflows(capsys):
         ({"rows": -1, "cols": -1, "entries": ["1"]}, "'rows' holds -1"),
         ({"rows": 0, "cols": 5, "entries": []}, "'rows' holds 0"),
         ({"rows": 1, "cols": 0, "entries": []}, "'cols' holds 0"),
+        ({"rows": 2, "cols": 3, "entries": ["1/6"] * 6}, "shape (2, 3) is not square"),
     ],
 )
 def test_spectrum_rejects_malformed_matrix_files(tmp_path, capsys, matrix, named):

@@ -4,7 +4,7 @@ import hashlib
 import multiprocessing
 import os
 from dataclasses import replace
-from itertools import combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 from math import comb
 
 import numpy as np
@@ -24,12 +24,10 @@ from rhomean.measures import (
 )
 from rhomean.montecarlo import (
     _chunk_stats,
-    _colex_plan,
     chunk_size_for,
     convergence_report,
     estimate_mean,
-    monomial_pairs,
-    monomial_table,
+    monomial_index,
 )
 from rhomean.oracle import composite_haar_mean, exact_mean, haar_mean
 from rhomean.linalg import Scenario, permutation_operator, tensor_power
@@ -136,23 +134,24 @@ def test_worker_count_does_not_change_monomial_reduction(spec, m):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
+def _colex_multisets(d2, m):
+    """The m-multisets of range(d2), sorted, in colex order: by largest
+    element first, then by the rest in the same order."""
+    return sorted(combinations_with_replacement(range(d2), m), key=lambda t: t[::-1])
+
+
 @pytest.mark.parametrize(
     "dim, m, expected", [(2, 1, 4), (2, 4, 35), (3, 4, 495), (2, 6, 84), (6, 2, 666)]
 )
 def test_monomial_table_counts_distinct_entries(dim, m, expected):
-    pairs, index = monomial_table(dim, m)
-    assert pairs.shape == (expected, m) == (comb(dim * dim + m - 1, m), m)
-    assert index.shape == (dim ** (2 * m),)
-    assert np.all(np.diff(pairs, axis=1) >= 0)
-    # the pool's chunks read monomial_pairs alone, so it must be the table's
-    # order: the m-multisets of the flat positions, lexicographically
-    assert np.array_equal(monomial_pairs(dim, m), pairs)
-    rows = pairs.tolist()
-    assert all(a < b for a, b in zip(rows, rows[1:]))
-    assert rows == [list(c) for c in combinations_with_replacement(range(dim * dim), m)]
+    index = monomial_index(dim, m)
+    assert index.shape == (dim ** (2 * m),) and index.dtype == np.intp
+    assert not index.flags.writeable  # one cached array serves every caller
     # every monomial is some entry of the power, and entry (I, J) multiplies
     # rho[i_k, j_k] over the slots k
-    assert set(index.tolist()) == set(range(expected))
+    assert expected == comb(dim * dim + m - 1, m)
+    assert np.array_equal(np.unique(index), np.arange(expected))
+    pairs = np.array(_colex_multisets(dim * dim, m))
     rho = np.arange(1, dim * dim + 1, dtype=float).reshape(dim, dim) / (dim * dim)
     products = np.prod(rho.reshape(-1)[pairs], axis=1)
     assert np.allclose(products[index].reshape(dim**m, dim**m), tensor_power(rho, m))
@@ -160,29 +159,50 @@ def test_monomial_table_counts_distinct_entries(dim, m, expected):
 
 @pytest.mark.parametrize("dim, m", [(2, 1), (2, 2), (2, 4), (3, 4), (2, 6), (6, 2), (6, 3)])
 def test_colex_plan_orders_each_level_by_its_largest_factor(dim, m):
-    pairs = monomial_pairs(dim, m)
-    ranks, sizes = _colex_plan(dim, m)
-    assert ranks.dtype == np.int64 and not ranks.flags.writeable
-    assert np.array_equal(np.sort(ranks), np.arange(len(pairs)))
-    assert np.array_equal(ranks, np.lexsort(pairs.T))
+    # the kernel's construction, on multisets: group b of level k, rows
+    # comb(b + k - 1, k) up to comb(b + k, k), is the first
+    # comb(b + k - 1, k - 1) rows of level k - 1, each with b appended
     d2 = dim * dim
-    assert sizes == tuple(tuple(comb(b + k - 1, k - 1) for b in range(d2)) for k in range(1, m + 1))
-    # the kernel's construction, on multisets: group b of level k is the first
-    # sizes[k - 1][b] rows of level k - 1, each with b appended
     level = [()]
     for k in range(1, m + 1):
-        assert all(rows <= len(level) for rows in sizes[k - 1])
-        level = [row + (b,) for b, rows in enumerate(sizes[k - 1]) for row in level[:rows]]
-        assert len(level) == comb(d2 + k - 1, k)
-    assert np.array_equal(np.array(level, dtype=np.int64).reshape(-1, m), pairs[ranks])
+        groups = [[row + (b,) for row in level[: comb(b + k - 1, k - 1)]] for b in range(d2)]
+        starts = list(accumulate(map(len, groups), initial=0))
+        assert starts == [comb(b + k - 1, k) for b in range(d2 + 1)]
+        level = [row for group in groups for row in group]
+        assert level == _colex_multisets(d2, k)
+    # the closed form monomial_index sums: a sorted multiset's row in level m
+    assert [sum(comb(a + k, k + 1) for k, a in enumerate(row)) for row in level] == list(range(len(level)))
+
+
+@st.composite
+def _index_sizes(draw):
+    dim = draw(st.integers(2, 6))
+    return dim, draw(st.integers(1, max(k for k in range(1, 8) if dim ** (2 * k) <= 2**13)))
+
+
+@given(_index_sizes(), st.sampled_from([None, 1, 64]))
+@settings(max_examples=40, deadline=None)
+def test_monomial_index_ranks_each_entry_in_colex_order(sizes, block_bytes):
+    dim, m = sizes
+    rank = {row: r for r, row in enumerate(_colex_multisets(dim * dim, m))}
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bytes is not None:
+            patch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
+        index = monomial_index.__wrapped__(dim, m)
+    size = dim**m
+    for flat, got in enumerate(index.tolist()):
+        row, col = divmod(flat, size)
+        codes = sorted(row // dim**s % dim * dim + col // dim**s % dim for s in range(m))
+        assert got == rank[tuple(codes)], (row, col)
 
 
 def _one_shot_index(dim, m):
     """Every entry's digits at once, ranked with np.unique: the reference for
-    the row-blocked index of ``monomial_table``."""
+    the row-blocked ``monomial_index``.  A sorted multiset's key weighs its
+    largest element most, so the keys sort in colex order."""
     digits = np.indices((dim,) * (2 * m), dtype=np.int32).reshape(2 * m, -1)
     codes = np.sort((digits[:m] * dim + digits[m:]).T, axis=1)
-    weights = (dim * dim) ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    weights = (dim * dim) ** np.arange(m, dtype=np.int64)
     _, index = np.unique(codes @ weights, return_inverse=True)
     return index
 
@@ -192,7 +212,7 @@ def _one_shot_index(dim, m):
 def test_monomial_index_matches_one_shot_reference(dim, m, block_bytes, monkeypatch):
     if block_bytes is not None:
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
-    _, index = monomial_table.__wrapped__(dim, m)
+    index = monomial_index.__wrapped__(dim, m)
     reference = _one_shot_index(dim, m)
     assert index.dtype == reference.dtype and index.shape == reference.shape
     assert np.array_equal(index, reference)
@@ -204,7 +224,7 @@ def _one_shot_chunk_stats(args):
     spec, m, seed, chunk_index, count = args
     gen = RandomStream(seed, chunk_index).generator()
     flat = sample_density_batch(spec, count, gen).reshape(count, -1)
-    pairs = monomial_pairs(spec.dim, m)
+    pairs = np.array(_colex_multisets(spec.dim**2, m))
     power = flat[:, pairs[:, 0]]
     for k in range(1, m):
         power *= flat[:, pairs[:, k]]
@@ -229,7 +249,7 @@ def _one_shot_chunk_stats(args):
     ids=["bloch-m4", "2x3-m2", "zhsl-n3m1", "zhsl-n3m2", "one-block", "bloch-m3", "2x3-m3"],
 )
 def test_blocked_chunk_stats_match_one_shot_bitwise(spec, m, count, split, width, monkeypatch):
-    n_monomials = len(monomial_pairs(spec.dim, m))
+    n_monomials = comb(spec.dim**2 + m - 1, m)
     if width is None:
         # the module's own block width, which splits all but the last case
         width = max(1, montecarlo.BLOCK_BYTES // (16 * count))
@@ -285,13 +305,10 @@ def _children() -> list[int]:
 
 @pytest.fixture
 def fresh_pool():
-    """No pool and no cached monomials, so the next pooled call forks one and
-    its workers inherit only the table that call builds first."""
+    """No pool and no cached index, so the next pooled call forks one afresh."""
     if os.getpid() in montecarlo._pools:
         montecarlo._end_pool(os.getpid())
-    monomial_pairs.cache_clear()
-    monomial_table.cache_clear()
-    _colex_plan.cache_clear()
+    monomial_index.cache_clear()
 
 
 def test_pool_is_forked_once_and_reused(fresh_pool):
@@ -500,13 +517,13 @@ def test_integer_arguments_are_validated_by_name(name, kwargs):
 
 
 def test_monomial_table_cache_is_bounded():
-    monomial_table.cache_clear()
+    monomial_index.cache_clear()
     sizes = [(HaarDirichletMeasure(n=2), 1), (HaarDirichletMeasure(n=2), 2), (HaarDirichletMeasure(n=3), 2)]
     sizes += [(BlochBallMeasure(u=0.5), 3), (PAIR_23, 1)]
     for spec, m in sizes:
         for _ in range(2):
             estimate_mean(spec, m, 200, seed=1, workers=1)
-    info = monomial_table.cache_info()
+    info = monomial_index.cache_info()
     assert info.currsize == info.maxsize == 2
     # the second call at each size hits the table the first one built
     assert info.hits == 5 and info.misses == 5
