@@ -37,7 +37,7 @@ from .measures import (
     factor_laws,
     measure_from_json,
 )
-from .montecarlo import MeanEstimate
+from .montecarlo import MIN_SAMPLES, MeanEstimate
 from .oracle import OracleResult
 from .spectral import SymbolicMatrix, substitute_v
 from .symmetry import partitions
@@ -322,9 +322,10 @@ _ESTIMATE = "estimate artifact"
 
 def _stderr_matrix(obj: dict, name: str, shape: tuple[int, int]) -> np.ndarray:
     rows = _list_of_lists(_field(obj, name, _ESTIMATE), name, _ESTIMATE)
-    numbers = all(type(x) in (int, float) for row in rows for x in row)
-    if not numbers or [len(row) for row in rows] != [shape[1]] * shape[0]:
-        raise ValueError(f"{_ESTIMATE} field {name!r} is not a {shape[0]}x{shape[1]} matrix of numbers")
+    # a NaN fails both comparisons
+    errors = all(type(x) in (int, float) and 0 <= x < math.inf for row in rows for x in row)
+    if not errors or [len(row) for row in rows] != [shape[1]] * shape[0]:
+        raise ValueError(f"{_ESTIMATE} field {name!r} is not a {shape[0]}x{shape[1]} matrix of finite numbers >= 0")
     return np.array(rows, dtype=float)
 
 
@@ -332,8 +333,11 @@ def estimate_from_json(obj: dict) -> MeanEstimate:
     if not isinstance(obj, dict):
         raise ValueError(f"{_ESTIMATE} is a {type(obj).__name__}, not an object")
 
-    def integer(name: str) -> int:
-        return _json_int(_field(obj, name, _ESTIMATE), name, _ESTIMATE)
+    def integer(name: str, least: int | None = None) -> int:
+        value = _json_int(_field(obj, name, _ESTIMATE), name, _ESTIMATE)
+        if least is not None and value < least:
+            raise ValueError(f"{_ESTIMATE} field {name!r} is {value}, below {least}")
+        return value
 
     mean = complex_matrix_from_json(_field(obj, "matrix", _ESTIMATE))
     measure = measure_from_json(_field(obj, "measure", _ESTIMATE))
@@ -345,16 +349,19 @@ def estimate_from_json(obj: dict) -> MeanEstimate:
     if list(scenario.factors) != dims:
         raise ValueError(f"{_ESTIMATE} field 'factors' is {list(scenario.factors)}, but its 'measure' has {dims}")
     _check_dim(*mean.shape, scenario, _ESTIMATE)
+    stderr, re, im = (_stderr_matrix(obj, f, mean.shape) for f in ("stderr", "stderr_real", "stderr_imag"))
+    if not np.array_equal(stderr, np.maximum(re, im)):
+        raise ValueError(f"{_ESTIMATE} field 'stderr' is not the entrywise max of its real and imaginary parts")
     return MeanEstimate(
         mean=mean,
-        n_samples=integer("n_samples"),
-        stderr=_stderr_matrix(obj, "stderr", mean.shape),
-        stderr_real=_stderr_matrix(obj, "stderr_real", mean.shape),
-        stderr_imag=_stderr_matrix(obj, "stderr_imag", mean.shape),
+        n_samples=integer("n_samples", MIN_SAMPLES),
+        stderr=stderr,
+        stderr_real=re,
+        stderr_imag=im,
         measure=measure,
         scenario=scenario,
         seed=integer("seed"),
-        workers=integer("workers"),
+        workers=integer("workers", 1),
     )
 
 

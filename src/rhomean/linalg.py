@@ -1,15 +1,16 @@
 """Dense tensor-space linear algebra for density matrices.
 
 Matrices are plain numpy arrays (complex128 for numeric work, object arrays
-of Fraction for exact work).  The Kronecker index convention is row-major,
-i.e. ``tensor_product(a, b)`` maps row indices to ``i_a * rows_b + i_b``,
-which fixes the basis ordering every fixture in this package relies on.
+of Fraction for exact work).  The Kronecker index convention is row-major
+(``tensor_product(a, b)`` maps row indices to ``i_a * rows_b + i_b``), which
+fixes every fixture's basis and ``monomial_index``, the one entry-to-monomial
+map through which both estimators of E[rho^(x m)] fill their matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
@@ -120,14 +121,29 @@ def distinct_entries(seq) -> tuple[list, np.ndarray]:
     return list(first), np.fromiter(map(first.__getitem__, seq), np.intp, len(seq))
 
 
-def permutation_rows(sigma: tuple[int, ...], n: int) -> np.ndarray:
-    """Row index of the single 1 in each column of V_sigma on (C^n)^(x len(sigma)).
+def monomial_index(dim: int, m: int) -> np.ndarray:
+    """The monomial of each entry of the m-th Kronecker power of a dim x dim matrix.
 
-    Column digit k (row-major mixed radix) moves to slot sigma[k]: the same
-    axis transpose as ``reorder_subsystems``, applied to the row indices.
+    Entry (I, J) of rho^(x m) multiplies rho[i_k, j_k] over the slots k, so it
+    depends only on the multiset of the flat positions i_k * dim + j_k, and
+    ``index[I * dim**m + J]`` is that multiset's colex rank: sum_k comb(a_k + k,
+    k + 1) over its sorted a_0 <= ... <= a_(m-1).  The index grows a slot per
+    level, as entry (I i, J j) is (I, J) plus the position p = i * dim + j, and
+    ``add[r, p]`` ranks multiset r plus p.  Multiset r of level k is its largest
+    element b after multiset ``rest[r]`` of level k - 1: p >= b goes last, p < b
+    joins the rest.
     """
-    m = len(sigma)
-    return np.arange(n**m).reshape((n,) * m).transpose(sigma).ravel()
+    d2 = dim * dim
+    p = np.arange(d2)
+    add, index, starts = p[None, :], p, p  # level k's group b starts at comb(b + k - 1, k)
+    for k in range(1, m):
+        top = np.repeat(p, [comb(b + k - 1, k - 1) for b in range(d2)])
+        ranks = np.arange(len(top))
+        rest = ranks - starts[top]
+        starts = np.array([comb(b + k, k + 1) for b in range(d2)])
+        add = np.where(p >= top[:, None], starts + ranks[:, None], starts[top][:, None] + add[rest])
+        index = add[index.reshape(dim**k, 1, dim**k, 1), p.reshape(1, dim, 1, dim)].ravel()
+    return index
 
 
 def permutation_operator(sigma: tuple[int, ...], n: int, m: int) -> np.ndarray:
@@ -141,7 +157,7 @@ def permutation_operator(sigma: tuple[int, ...], n: int, m: int) -> np.ndarray:
     d = n**m
     check_dim_cap(d)
     op = np.zeros((d, d))
-    op[permutation_rows(sigma, n), np.arange(d)] = 1.0
+    op[np.arange(d).reshape((n,) * m).transpose(sigma).ravel(), np.arange(d)] = 1.0
     return op
 
 

@@ -19,9 +19,8 @@ samples lie contiguously in one row of its block and numpy sums that row by
 itself, so the block width changes no bit, and each block's results go to
 their own contiguous slice of the chunk's colex-ordered vectors.  Chunks are
 then merged in a deterministic binary tree, which keeps repeated runs bitwise
-identical, and the merged vectors are scattered to the D^m x D^m matrix once
-at the end through ``monomial_index``, which ranks each entry's monomial in
-closed form.
+identical, and scattered to the D^m x D^m matrix once at the end through
+``linalg.monomial_index``, the map the exact oracle labels its matrix by.
 
 With ``workers > 1`` the chunks run in one ``fork`` pool per process.  It is
 forked by the first call that has more than one chunk, reused by later calls,
@@ -37,13 +36,12 @@ import multiprocessing
 import operator
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import Scenario, check_dim_cap
+from .linalg import Scenario, check_dim_cap, monomial_index
 from .measures import (
     MeasureSpec,
     RandomStream,
@@ -75,33 +73,6 @@ MIN_SAMPLES = 100
 
 def chunk_size_for(dim: int) -> int:
     return max(32, min(8192, _CHUNK_ENTRY_BUDGET // (dim * dim)))
-
-
-# an index holds D^2 intp (134 MB at D = 4096), so only the last two sizes stay
-@lru_cache(maxsize=2)
-def monomial_index(dim: int, m: int) -> np.ndarray:
-    """The monomial of each entry of rho^(x m) for a dim x dim rho.
-
-    ``index[I * dim**m + J]`` is the colex rank, the order in which
-    ``_chunk_stats`` builds the monomials, of the multiset of flat positions
-    i_k * dim + j_k of the m entries of rho whose product is entry (I, J) of
-    the row-major Kronecker power.  Sorted as a_0 <= ... <= a_(m-1), a multiset
-    has rank sum_k comb(a_k + k, k + 1), read from an (m, dim^2) table.  The
-    index is built a block of rows I at a time, with about ``BLOCK_BYTES`` of
-    codes per block.
-    """
-    table = np.array([[comb(a + k, k + 1) for a in range(dim * dim)] for k in range(m)], dtype=np.intp)
-    size = dim**m
-    # the m base-dim digits of every row (and column) number, most significant first
-    digits = np.indices((dim,) * m, dtype=np.int32).reshape(m, -1).T
-    index = np.empty(size * size, dtype=np.intp)
-    rows = max(1, BLOCK_BYTES // (4 * m * size))
-    slots = np.arange(m)
-    for start in range(0, size, rows):
-        codes = np.sort(digits[start : start + rows, None] * dim + digits, axis=2)
-        index[start * size : (start + rows) * size] = table[slots, codes].sum(axis=2).ravel()
-    index.flags.writeable = False
-    return index
 
 
 @dataclass(frozen=True)

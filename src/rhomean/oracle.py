@@ -16,10 +16,11 @@ rows, whose right-hand side needs only the law's power-sum moments
 (``power_sum_moment``), for Haar x Dirichlet states and the Bloch family
 alike.  The p(m) class coefficients are the stored form of a result: the
 exact spectrum reads the same rows, so it needs no enumeration of S_m and no
-matrix.  The matrix takes few distinct values (17 of 65536 at N=4, m=4), so
-it is labelled: distinct Fractions ``values`` and a (D, D) integer array
-``labels``, and building, Kronecker products and reordering touch each value
-once; the dense matrix is gathered on demand.  Everything is computed in
+matrix.  An entry depends only on its monomial (``linalg.monomial_index``),
+so the matrix, built one entry per monomial, is labelled: distinct Fractions
+``values`` (17 of 65536 entries at N=4, m=4) and a (D, D) integer array
+``labels``; Kronecker products and reordering touch each value once, and the
+dense matrix is gathered on demand.  Everything is computed in
 exact rational arithmetic; eigenvalues and multiplicities come from the
 irreducible-component decomposition of (C^N)^(x m), not from floating-point
 diagonalization.
@@ -31,7 +32,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from numbers import Real
 
 import numpy as np
@@ -40,7 +41,7 @@ from .linalg import (
     Scenario,
     check_dim_cap,
     distinct_entries,
-    permutation_rows,
+    monomial_index,
     reorder_subsystems,
 )
 from .measures import (
@@ -183,29 +184,34 @@ class OracleResult:
 
     @cached_property
     def labelled(self) -> Labelled:
-        """sum_K a_K W_K, folding each class's integer V_sigma counts into the labels."""
-        (n,), m = self.scenario.factors, self.scenario.power
-        d = n**m
+        """sum_K a_K W_K, one value per monomial of its entries (``monomial_index``).
+
+        V_sigma has its 1 at (R, C) when R's letter at slot sigma(k) is C's
+        letter k for every k, so an entry is 0 unless R and C hold the same
+        letters, and is otherwise sum_K a_K times the number of such sigma in K.
+        """
+        (n,), m, d = self.scenario.factors, self.scenario.power, self.scenario.dim
         check_dim_cap(d)
-        cols = np.arange(d)
-        values, labels = [Fraction(0)], np.zeros(d * d, dtype=np.intp)
+        index = monomial_index(n, m)
+        first = np.empty(comb(n * n + m - 1, m), dtype=np.intp)
+        first[index] = np.arange(d * d)
+        # the row and column words of each monomial's entry: its 2m base-n digits
+        words = np.array(np.unravel_index(first, (n,) * 2 * m), dtype=np.uint8)
+        rows, cols = words.reshape(2, m, -1).transpose(0, 2, 1)
+        keep = (np.sort(rows, axis=1) == np.sort(cols, axis=1)).all(axis=1)
+        rows, cols = rows[keep], cols[keep]
+        step = max(1, d * d // (m * len(rows)))  # compares at most d^2 bytes, 1/8 of the index
+        den = lcm(*(a.denominator for a in self.class_coefficients.values()))
+        numerators = np.zeros(len(first), dtype=object)  # of the entries, over den
         for ct, a in self.class_coefficients.items():
             if a == 0:  # the classes pinned to zero by the solve
                 continue
-            counts = np.zeros(d * d, dtype=np.intp)
-            for sigma in class_elements(ct):
-                # V_sigma is a permutation matrix: the indices are distinct
-                counts[permutation_rows(sigma, n) * d + cols] += 1
-            # key label * base + count has the value values[label] + a * count; a
-            # table over the small key range (values times |K| + 1) ranks the keys
-            base = class_size(ct) + 1
-            keys = labels * base + counts
-            hit = np.zeros(len(values) * base, dtype=bool)
-            hit[keys] = True
-            folded = [values[k // base] + a * (k % base) for k in np.flatnonzero(hit).tolist()]
-            values, index = distinct_entries(folded)
-            labels = index[np.cumsum(hit)[keys] - 1]
-        return values, labels.reshape(d, d)
+            perms = np.array(list(class_elements(ct)), dtype=np.intp)
+            blocks = (perms[s : s + step] for s in range(0, len(perms), step))
+            count = sum((rows[:, block] == cols[:, None]).all(axis=2).sum(axis=1) for block in blocks)
+            numerators[keep] += count.astype(object) * int(a * den)
+        distinct, label = distinct_entries(numerators.tolist())
+        return [Fraction(x, den) for x in distinct], label[index].reshape(d, d)
 
     @cached_property
     def mean(self) -> np.ndarray:

@@ -295,6 +295,13 @@ def test_estimate_artifact_rejects_missing_fields(estimate_payload, field):
         ("m", 1, "'matrix' is 4x4, not D x D with D = 2^1"),
         ("factors", [3], "'factors' is [3], but its 'measure' has [2]"),
         ("factors", [2, 2], "'factors' is [2, 2], but its 'measure' has [2]"),
+        # values no estimate holds
+        ("workers", 0, "'workers' is 0, below 1"),
+        ("n_samples", 1, "'n_samples' is 1, below 100"),
+        ("stderr", [[-1.0] * 4] * 4, "'stderr' is not a 4x4 matrix of finite numbers >= 0"),
+        ("stderr_real", [[0.0] * 3 + [float("nan")]] * 4, "'stderr_real' is not a 4x4 matrix of finite"),
+        ("stderr_imag", [[float("inf")] * 4] * 4, "'stderr_imag' is not a 4x4 matrix of finite"),
+        ("stderr", [[0.0] * 4] * 4, "'stderr' is not the entrywise max"),
     ],
 )
 def test_estimate_artifact_rejects_mistyped_fields(estimate_payload, field, value, named):

@@ -27,10 +27,9 @@ from rhomean.montecarlo import (
     chunk_size_for,
     convergence_report,
     estimate_mean,
-    monomial_index,
 )
 from rhomean.oracle import composite_haar_mean, exact_mean, haar_mean
-from rhomean.linalg import Scenario, permutation_operator, tensor_power
+from rhomean.linalg import Scenario, monomial_index, permutation_operator, tensor_power
 
 PAIR_22 = ProductMeasure(factors=(HaarDirichletMeasure(n=2), HaarDirichletMeasure(n=2)))
 PAIR_23 = ProductMeasure(factors=(HaarDirichletMeasure(n=2), HaarDirichletMeasure(n=3)))
@@ -146,7 +145,6 @@ def _colex_multisets(d2, m):
 def test_monomial_table_counts_distinct_entries(dim, m, expected):
     index = monomial_index(dim, m)
     assert index.shape == (dim ** (2 * m),) and index.dtype == np.intp
-    assert not index.flags.writeable  # one cached array serves every caller
     # every monomial is some entry of the power, and entry (I, J) multiplies
     # rho[i_k, j_k] over the slots k
     assert expected == comb(dim * dim + m - 1, m)
@@ -180,15 +178,12 @@ def _index_sizes(draw):
     return dim, draw(st.integers(1, max(k for k in range(1, 8) if dim ** (2 * k) <= 2**13)))
 
 
-@given(_index_sizes(), st.sampled_from([None, 1, 64]))
+@given(_index_sizes())
 @settings(max_examples=40, deadline=None)
-def test_monomial_index_ranks_each_entry_in_colex_order(sizes, block_bytes):
+def test_monomial_index_ranks_each_entry_in_colex_order(sizes):
     dim, m = sizes
     rank = {row: r for r, row in enumerate(_colex_multisets(dim * dim, m))}
-    with pytest.MonkeyPatch.context() as patch:
-        if block_bytes is not None:
-            patch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
-        index = monomial_index.__wrapped__(dim, m)
+    index = monomial_index(dim, m)
     size = dim**m
     for flat, got in enumerate(index.tolist()):
         row, col = divmod(flat, size)
@@ -198,7 +193,7 @@ def test_monomial_index_ranks_each_entry_in_colex_order(sizes, block_bytes):
 
 def _one_shot_index(dim, m):
     """Every entry's digits at once, ranked with np.unique: the reference for
-    the row-blocked ``monomial_index``.  A sorted multiset's key weighs its
+    the slot-by-slot ``monomial_index``.  A sorted multiset's key weighs its
     largest element most, so the keys sort in colex order."""
     digits = np.indices((dim,) * (2 * m), dtype=np.int32).reshape(2 * m, -1)
     codes = np.sort((digits[:m] * dim + digits[m:]).T, axis=1)
@@ -207,12 +202,9 @@ def _one_shot_index(dim, m):
     return index
 
 
-@pytest.mark.parametrize("block_bytes", [None, 1], ids=["default-blocks", "one-row-blocks"])
 @pytest.mark.parametrize("dim, m", [(2, 1), (2, 4), (3, 4), (2, 6), (6, 2), (2, 8)])
-def test_monomial_index_matches_one_shot_reference(dim, m, block_bytes, monkeypatch):
-    if block_bytes is not None:
-        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
-    index = monomial_index.__wrapped__(dim, m)
+def test_monomial_index_matches_one_shot_reference(dim, m):
+    index = monomial_index(dim, m)
     reference = _one_shot_index(dim, m)
     assert index.dtype == reference.dtype and index.shape == reference.shape
     assert np.array_equal(index, reference)
@@ -305,10 +297,9 @@ def _children() -> list[int]:
 
 @pytest.fixture
 def fresh_pool():
-    """No pool and no cached index, so the next pooled call forks one afresh."""
+    """No pool, so the next pooled call forks one afresh."""
     if os.getpid() in montecarlo._pools:
         montecarlo._end_pool(os.getpid())
-    monomial_index.cache_clear()
 
 
 def test_pool_is_forked_once_and_reused(fresh_pool):
@@ -514,19 +505,6 @@ def test_integer_arguments_are_validated_by_name(name, kwargs):
     # index-like integers are taken as they are
     est = estimate_mean(HaarDirichletMeasure(n=2), np.int64(1), np.int32(1000), seed=np.uint64(3))
     assert est.n_samples == 1000 and type(est.seed) is int and est.seed == 3
-
-
-def test_monomial_table_cache_is_bounded():
-    monomial_index.cache_clear()
-    sizes = [(HaarDirichletMeasure(n=2), 1), (HaarDirichletMeasure(n=2), 2), (HaarDirichletMeasure(n=3), 2)]
-    sizes += [(BlochBallMeasure(u=0.5), 3), (PAIR_23, 1)]
-    for spec, m in sizes:
-        for _ in range(2):
-            estimate_mean(spec, m, 200, seed=1, workers=1)
-    info = monomial_index.cache_info()
-    assert info.currsize == info.maxsize == 2
-    # the second call at each size hits the table the first one built
-    assert info.hits == 5 and info.misses == 5
 
 
 def test_workers_env_default_and_worker_count_validation(monkeypatch):

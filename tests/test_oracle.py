@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 import rhomean.oracle
 from rhomean.families import bloch_family_eigenvalue_exact, spin_multiplicity
 from rhomean.fixtures import get_fixture
-from rhomean.linalg import DIM_CAP, Scenario, hermitian_eig, permutation_operator
+from rhomean.linalg import (
+    DIM_CAP,
+    Scenario,
+    distinct_entries,
+    hermitian_eig,
+    monomial_index,
+    permutation_operator,
+)
 from rhomean.measures import (
     BlochBallMeasure,
     HaarDirichletMeasure,
@@ -32,7 +39,7 @@ from rhomean.oracle import (
     solve_rational_system,
 )
 from rhomean.spectral import cluster_spectrum
-from rhomean.symmetry import class_elements, cycle_type, partitions
+from rhomean.symmetry import class_elements, class_size, cycle_type, partitions
 
 
 def per_sigma(result):
@@ -54,6 +61,32 @@ def reconstruct(result):
         hit = v != 0
         out[hit] += c * v[hit].astype(int)
     return out
+
+
+def class_scatter_labelled(result):
+    """sum_K a_K W_K as the oracle once built it: every V_sigma of a nonzero
+    class scattered into D^2 integer counts, which are then folded into the
+    labels one class at a time."""
+    (n,), m = result.scenario.factors, result.scenario.power
+    d = n**m
+    cols = np.arange(d)
+    values, labels = [F(0)], np.zeros(d * d, dtype=np.intp)
+    for ct, a in result.class_coefficients.items():
+        if a == 0:
+            continue
+        counts = np.zeros(d * d, dtype=np.intp)
+        for sigma in class_elements(ct):
+            rows = np.arange(d).reshape((n,) * m).transpose(sigma).ravel()
+            counts[rows * d + cols] += 1
+        # key label * base + count has the value values[label] + a * count
+        base = class_size(ct) + 1
+        keys = labels * base + counts
+        hit = np.zeros(len(values) * base, dtype=bool)
+        hit[keys] = True
+        folded = [values[k // base] + a * (k % base) for k in np.flatnonzero(hit).tolist()]
+        values, index = distinct_entries(folded)
+        labels = index[np.cumsum(hit)[keys] - 1]
+    return values, labels.reshape(d, d)
 
 
 def simplex_quadrature_moment(exponents, steps=400):
@@ -264,6 +297,28 @@ def test_labelled_build_matches_per_sigma_reference(n, m, q):
     assert labels.shape == (n**m, n**m) and labels.dtype == np.intp
     assert labels.min() >= 0 and labels.max() < len(values)
     assert np.all(reconstruct(result) == np.array(values, dtype=object)[labels])
+
+
+@pytest.mark.parametrize(
+    "n, m, q",
+    [
+        (2, 9, [F(1, 2), F(-1, 3)]),
+        (3, 6, [F(1, 3), F(0), F(-1, 2)]),
+        (4, 5, [F(1, 2), F(-1, 3), F(0), F(1, 3)]),
+    ],
+)
+def test_labelled_build_matches_class_scatter_reference(n, m, q):
+    result = haar_mean(n, m, q)
+    values, labels = result.labelled
+    ref_values, ref_labels = class_scatter_labelled(result)
+    assert len(values) == len(ref_values)
+    dense = np.array(values, dtype=object)[labels]
+    assert np.array_equal(dense, np.array(ref_values, dtype=object)[ref_labels])
+    # one label per monomial: entries with one multiset of (row, col) pairs agree
+    index = monomial_index(n, m)
+    per_monomial = np.zeros(index.max() + 1, dtype=np.intp)
+    per_monomial[index] = labels.ravel()
+    assert np.array_equal(per_monomial[index], labels.ravel())
 
 
 def test_mean_at_ten_slots_matches_its_spectrum():
