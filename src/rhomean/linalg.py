@@ -129,9 +129,8 @@ def monomial_index(dim: int, m: int) -> np.ndarray:
     ``index[I * dim**m + J]`` is that multiset's colex rank: sum_k comb(a_k + k,
     k + 1) over its sorted a_0 <= ... <= a_(m-1).  The index grows a slot per
     level, as entry (I i, J j) is (I, J) plus the position p = i * dim + j, and
-    ``add[r, p]`` ranks multiset r plus p.  Multiset r of level k is its largest
-    element b after multiset ``rest[r]`` of level k - 1: p >= b goes last, p < b
-    joins the rest.
+    ``add[r, p]`` ranks multiset r plus p: multiset r of level k is its largest
+    element b after a multiset of level k - 1, which p joins if p < b.
     """
     d2 = dim * dim
     p = np.arange(d2)
@@ -139,9 +138,10 @@ def monomial_index(dim: int, m: int) -> np.ndarray:
     for k in range(1, m):
         top = np.repeat(p, [comb(b + k - 1, k - 1) for b in range(d2)])
         ranks = np.arange(len(top))
-        rest = ranks - starts[top]
+        add = add[ranks - starts[top]]  # the level's one table-sized array, filled in place
         starts = np.array([comb(b + k, k + 1) for b in range(d2)])
-        add = np.where(p >= top[:, None], starts + ranks[:, None], starts[top][:, None] + add[rest])
+        add += starts[top][:, None]
+        np.add(starts, ranks[:, None], out=add, where=p >= top[:, None])
         index = add[index.reshape(dim**k, 1, dim**k, 1), p.reshape(1, dim, 1, dim)].ravel()
     return index
 

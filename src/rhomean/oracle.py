@@ -195,23 +195,23 @@ class OracleResult:
         index = monomial_index(n, m)
         first = np.empty(comb(n * n + m - 1, m), dtype=np.intp)
         first[index] = np.arange(d * d)
-        # the row and column words of each monomial's entry: its 2m base-n digits
-        words = np.array(np.unravel_index(first, (n,) * 2 * m), dtype=np.uint8)
-        rows, cols = words.reshape(2, m, -1).transpose(0, 2, 1)
-        keep = (np.sort(rows, axis=1) == np.sort(cols, axis=1)).all(axis=1)
-        rows, cols = rows[keep], cols[keep]
+        # each word's letters, and its letters sorted, as a word: its content
+        letters = np.array(np.unravel_index(np.arange(d), (n,) * m), dtype=np.min_scalar_type(n - 1))
+        content = np.ravel_multi_index(tuple(np.sort(letters, axis=0)), (n,) * m)
+        keep = content[first // d] == content[first % d]  # row and column hold the same letters
+        rows, cols = (letters[:, word].T for word in np.divmod(first[keep], d))
         step = max(1, d * d // (m * len(rows)))  # compares at most d^2 bytes, 1/8 of the index
         den = lcm(*(a.denominator for a in self.class_coefficients.values()))
-        numerators = np.zeros(len(first), dtype=object)  # of the entries, over den
+        numerators = np.zeros(len(rows), dtype=object)  # of the kept entries, over den
         for ct, a in self.class_coefficients.items():
             if a == 0:  # the classes pinned to zero by the solve
                 continue
             perms = np.array(list(class_elements(ct)), dtype=np.intp)
             blocks = (perms[s : s + step] for s in range(0, len(perms), step))
             count = sum((rows[:, block] == cols[:, None]).all(axis=2).sum(axis=1) for block in blocks)
-            numerators[keep] += count.astype(object) * int(a * den)
-        distinct, label = distinct_entries(numerators.tolist())
-        return [Fraction(x, den) for x in distinct], label[index].reshape(d, d)
+            numerators += count.astype(object) * int(a * den)
+        distinct, label = distinct_entries([0, *numerators.tolist()])  # 0 for the other monomials
+        return [Fraction(x, den) for x in distinct], label[np.cumsum(keep) * keep][index].reshape(d, d)
 
     @cached_property
     def mean(self) -> np.ndarray:

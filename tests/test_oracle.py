@@ -305,6 +305,7 @@ def test_labelled_build_matches_per_sigma_reference(n, m, q):
         (2, 9, [F(1, 2), F(-1, 3)]),
         (3, 6, [F(1, 3), F(0), F(-1, 2)]),
         (4, 5, [F(1, 2), F(-1, 3), F(0), F(1, 3)]),
+        (257, 1, F(1, 3)),  # entry (0, 256) is 0: in a byte, letter 256 would read as 0
     ],
 )
 def test_labelled_build_matches_class_scatter_reference(n, m, q):
