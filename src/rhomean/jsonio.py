@@ -355,7 +355,6 @@ def estimate_from_json(obj: dict) -> MeanEstimate:
     return MeanEstimate(
         mean=mean,
         n_samples=integer("n_samples", MIN_SAMPLES),
-        stderr=stderr,
         stderr_real=re,
         stderr_imag=im,
         measure=measure,

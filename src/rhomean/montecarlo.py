@@ -18,9 +18,12 @@ sum-of-squared-deviations) with numpy's pairwise summation.  Each monomial's
 samples lie contiguously in one row of its block and numpy sums that row by
 itself, so the block width changes no bit, and each block's results go to
 their own contiguous slice of the chunk's colex-ordered vectors.  Chunks are
-then merged in a deterministic binary tree, which keeps repeated runs bitwise
-identical, and scattered to the D^m x D^m matrix once at the end through
-``linalg.monomial_index``, the map the exact oracle labels its matrix by.
+then merged in a binary tree fixed by their number, which keeps repeated runs
+bitwise identical.  A serial run merges each chunk as its subtree completes,
+so at most one finished subtree per level waits; a pooled run still holds the
+list ``Pool.map`` returns.  The merged vectors are scattered to the
+D^m x D^m matrix once at the end through ``linalg.monomial_index``, the map
+the exact oracle labels its matrix by.
 
 With ``workers > 1`` the chunks run in one ``fork`` pool per process.  It is
 forked by the first call that has more than one chunk, reused by later calls,
@@ -36,6 +39,7 @@ import multiprocessing
 import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -79,19 +83,23 @@ def chunk_size_for(dim: int) -> int:
 class MeanEstimate:
     """Monte Carlo mean of rho^(x m) with per-entry standard errors.
 
-    ``stderr`` holds, per entry, the larger of the standard errors of the
-    real and imaginary parts -- the conservative choice for z-score gates.
+    ``stderr`` is derived, not stored: per entry, the larger of the standard
+    errors of the real and imaginary parts -- the conservative choice for
+    z-score gates.
     """
 
     mean: np.ndarray
     n_samples: int
-    stderr: np.ndarray
     stderr_real: np.ndarray
     stderr_imag: np.ndarray
     measure: MeasureSpec
     scenario: Scenario
     seed: int
     workers: int
+
+    @cached_property
+    def stderr(self) -> np.ndarray:
+        return np.maximum(self.stderr_real, self.stderr_imag)
 
     @property
     def stderr_max(self) -> float:
@@ -171,14 +179,18 @@ def _merge(a, b):
     return n, mean, m2_re, m2_im
 
 
-def _tree_reduce(items):
-    """Binary-tree fold in index order; the shape is fixed by len(items) alone."""
-    while len(items) > 1:
-        items = [
-            _merge(items[i], items[i + 1]) if i + 1 < len(items) else items[i]
-            for i in range(0, len(items), 2)
-        ]
-    return items[0]
+def _tree_reduce(stats, count: int):
+    """Merge the next ``count`` accumulators of the iterator ``stats`` in order.
+
+    The first 2^k of them, 2^k the largest power of two below ``count``, are
+    merged with the rest, each side by the same rule: the tree of merging
+    neighbours pairwise level by level, fixed by ``count`` alone.  Each side
+    is folded as it is drawn, so at most one finished subtree per level waits.
+    """
+    if count == 1:
+        return next(stats)
+    half = 1 << ((count - 1).bit_length() - 1)
+    return _merge(_tree_reduce(stats, half), _tree_reduce(stats, count - half))
 
 
 #: This process's worker pool as (processes, pool, end), keyed by the pid that
@@ -243,24 +255,18 @@ def estimate_mean(
     if n_samples % size:
         counts.append(n_samples % size)
     jobs = [(spec, m, seed, i, c) for i, c in enumerate(counts)]
-    index = monomial_index(spec.dim, m)
-
     processes = min(workers, len(jobs))
-    if processes == 1:
-        stats = [_chunk_stats(j) for j in jobs]
-    else:
-        stats = _pool_map(jobs, processes)
-
-    n, mean, m2_re, m2_im = _tree_reduce(stats)
+    stats = map(_chunk_stats, jobs) if processes == 1 else _pool_map(jobs, processes)
+    n, mean, m2_re, m2_im = _tree_reduce(iter(stats), len(jobs))
     denom = n * (n - 1)
     # elementwise, so the same bits as on the full matrix, at one value per monomial
     stderr_re, stderr_im = np.sqrt(m2_re / denom), np.sqrt(m2_im / denom)
+    index = monomial_index(spec.dim, m)
     shape = (scenario.dim, scenario.dim)
     mean, stderr_re, stderr_im = (v[index].reshape(shape) for v in (mean, stderr_re, stderr_im))
     return MeanEstimate(
         mean=mean,
         n_samples=n,
-        stderr=np.maximum(stderr_re, stderr_im),
         stderr_real=stderr_re,
         stderr_imag=stderr_im,
         measure=spec,

@@ -340,5 +340,7 @@ def composite_haar_mean(scenario: Scenario, qs: list | None = None) -> OracleRes
     """Exact mean of (rho_1 x ... x rho_k)^(x m) for independent Haar x Dirichlet
     factors, one exponent (or exponent sequence) per factor in ``qs``."""
     qs = [0] * len(scenario.factors) if qs is None else qs
-    laws = (HaarDirichletMeasure(n, q) for n, q in zip(scenario.factors, qs, strict=True))
+    if len(qs) != len(scenario.factors):
+        raise ValueError(f"expected {len(scenario.factors)} exponents, one per factor, got {len(qs)}")
+    laws = (HaarDirichletMeasure(n, q) for n, q in zip(scenario.factors, qs))
     return exact_mean(ProductMeasure(tuple(laws)), scenario.power)

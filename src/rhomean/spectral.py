@@ -102,14 +102,6 @@ class SpectralDecomposition:
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(c.multiplicity for c in self.clusters)
 
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(c.value for c in self.clusters)
-
-    @property
-    def dim(self) -> int:
-        return sum(self.multiplicities)
-
 
 def cluster_spectrum(
     eigenvalues: np.ndarray, eigenvectors: np.ndarray, cluster_tol: float = 1e-9

@@ -532,6 +532,9 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
         main(["oracle", "--m", "2"])  # missing --n
     assert exc.value.code == 2
     assert main(["oracle", "--n", "2", "--m", "2", "--q", "1"]) == 1  # q >= 1
+    # one exponent per factor: three for two factors are counted, not zipped
+    assert main(["oracle", "--n", "2x3", "--m", "1", "--q", "0,1/2,1/3"]) == 1
+    assert "expected 2 exponents, one per factor, got 3" in capsys.readouterr().err
     assert main(["verify"]) == 2
     assert main(["ks", "--m", "2", "--u", "0", "--d", "-1"]) == 2
     assert main(["ks", "--m", "5", "--u", "0", "--d", "3"]) == 2

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rhomean
@@ -136,6 +136,9 @@ def test_monotone_scan():
     hi=st.floats(1.0, 20.0),
     n=st.integers(3, 400),
 )
+# grid point 40 lies one ulp above t* = 61/63, and f rounds 3.3e-15 (15 ulps)
+# higher at t* than there
+@example(u=-30.0, lo=1 / 3, hi=1.0, n=43)
 def test_monotone_scan_argmin_is_closed_form(u, lo, hi, n):
     grid = np.linspace(lo, hi, n)
     vals = monotone_function(grid, u)
@@ -145,7 +148,10 @@ def test_monotone_scan_argmin_is_closed_form(u, lo, hi, n):
     assert not rep.is_monotone
     assert rep.argmin == (1 - 2 * u) / (3 - 2 * u)
     assert grid[k - 1] < rep.argmin < grid[k + 1]
-    assert monotone_function(rep.argmin, u) <= vals.min()
+    # a rounding error of 1 + t or of a power grows with the exponents 2 - 2u
+    # and 1/2 - u, so f may round higher at t* than at a grid point next to it
+    allowance = 4 * np.finfo(float).eps * (abs(2 - 2 * u) + abs(0.5 - u)) * vals.min()
+    assert monotone_function(rep.argmin, u) <= vals.min() + allowance
 
 
 @settings(max_examples=50, deadline=None)

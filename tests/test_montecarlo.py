@@ -3,6 +3,7 @@
 import hashlib
 import multiprocessing
 import os
+import weakref
 from dataclasses import replace
 from itertools import accumulate, combinations_with_replacement, permutations
 from math import comb
@@ -131,6 +132,51 @@ def test_worker_count_does_not_change_monomial_reduction(spec, m):
     b = estimate_mean(spec, m, 20_000, seed=14, workers=2)
     for field in ("mean", "stderr", "stderr_real", "stderr_imag"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def _list_tree_reduce(items):
+    """The level-by-level fold that the recursive ``_tree_reduce`` replaced,
+    kept as the reference for its tree."""
+    while len(items) > 1:
+        items = [
+            montecarlo._merge(items[i], items[i + 1]) if i + 1 < len(items) else items[i]
+            for i in range(0, len(items), 2)
+        ]
+    return items[0]
+
+
+def test_tree_reduce_builds_the_level_by_level_tree(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_merge", lambda a, b: (a, b))
+    for count in range(1, 301):
+        stats = iter(range(count + 1))
+        assert montecarlo._tree_reduce(stats, count) == _list_tree_reduce(list(range(count))), count
+        assert next(stats) == count  # drew exactly its own accumulators
+
+
+def test_serial_run_merges_each_chunk_as_its_subtree_completes(monkeypatch):
+    # 44 full chunks of 32 samples and a partial one; collected into one list
+    # first, all 45 accumulators were alive at the last draw
+    spec, m, n_samples = BlochBallMeasure(u=-2.0), 8, 44 * 32 + 10
+    assert chunk_size_for(scenario_for(spec, m).dim) == 32
+    alive, at_draw = set(), []
+
+    def track(stats):
+        key = object()
+        alive.add(key)
+        weakref.finalize(stats[1], alive.discard, key)
+        return stats
+
+    def chunk(args):
+        stats = track(_chunk_stats(args))
+        at_draw.append(len(alive))
+        return stats
+
+    merge = montecarlo._merge
+    monkeypatch.setattr(montecarlo, "_chunk_stats", chunk)
+    monkeypatch.setattr(montecarlo, "_merge", lambda a, b: track(merge(a, b)))
+    estimate_mean(spec, m, n_samples, seed=22, workers=1)
+    chunks = len(at_draw)
+    assert chunks == 45 and max(at_draw) <= chunks.bit_length() + 1, at_draw
 
 
 def _colex_multisets(d2, m):
