@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ks)
 
     p = sub.add_parser("verify", help="run verification cases")
-    p.add_argument("--case", action="append", help="case id (repeatable)")
+    p.add_argument("--case", action="append", choices=sorted(verify.CASES), help="case id (repeatable)")
     p.add_argument("--all", action="store_true")
     p.add_argument("--samples", type=_sample_count)
     p.add_argument("--seed", type=int, default=0)

@@ -146,6 +146,22 @@ def monomial_index(dim: int, m: int) -> np.ndarray:
     return index
 
 
+def monomial_sets(dim: int, m: int) -> np.ndarray:
+    """Row r: the sorted flat positions of the monomial ``monomial_index`` ranks r.
+
+    Least unsigned dtype.  The k-multisets whose largest element is b are the
+    first comb(b + k - 1, k - 1) rows of level k - 1, then b, as in a chunk.
+    """
+    sets = np.arange(dim * dim, dtype=np.min_scalar_type(dim * dim - 1))[:, None]
+    for k in range(2, m + 1):
+        level = np.empty((comb(dim * dim + k - 1, k), k), dtype=sets.dtype)
+        for b in range(dim * dim):  # group b fills rows comb(b + k - 1, k) up to comb(b + k, k)
+            group = level[comb(b + k - 1, k) : comb(b + k, k)]
+            group[:, :-1], group[:, -1] = sets[: len(group)], b
+        sets = level
+    return sets
+
+
 def permutation_operator(sigma: tuple[int, ...], n: int, m: int) -> np.ndarray:
     """Matrix of the tensor-slot permutation sigma (0-based images) on (C^n)^(x m).
 

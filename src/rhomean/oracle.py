@@ -16,14 +16,13 @@ rows, whose right-hand side needs only the law's power-sum moments
 (``power_sum_moment``), for Haar x Dirichlet states and the Bloch family
 alike.  The p(m) class coefficients are the stored form of a result: the
 exact spectrum reads the same rows, so it needs no enumeration of S_m and no
-matrix.  An entry depends only on its monomial (``linalg.monomial_index``),
-so the matrix, built one entry per monomial, is labelled: distinct Fractions
-``values`` (17 of 65536 entries at N=4, m=4) and a (D, D) integer array
-``labels``; Kronecker products and reordering touch each value once, and the
-dense matrix is gathered on demand.  Everything is computed in
-exact rational arithmetic; eigenvalues and multiplicities come from the
-irreducible-component decomposition of (C^N)^(x m), not from floating-point
-diagonalization.
+matrix.  An entry depends only on its monomial, so the matrix is counted on
+the colex multisets (``linalg.monomial_sets``) and gathered once into
+``linalg.monomial_index`` as labels: distinct Fractions ``values`` (17 of
+65536 entries at N=4, m=4) and a (D, D) integer array; Kronecker products and
+reordering touch each value once, and the dense matrix is gathered on demand.
+Everything is exact rational arithmetic; eigenvalues and multiplicities come
+from the irreducible components of (C^N)^(x m), not from diagonalization.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .linalg import (
     check_dim_cap,
     distinct_entries,
     monomial_index,
+    monomial_sets,
     reorder_subsystems,
 )
 from .measures import (
@@ -184,7 +184,7 @@ class OracleResult:
 
     @cached_property
     def labelled(self) -> Labelled:
-        """sum_K a_K W_K, one value per monomial of its entries (``monomial_index``).
+        """sum_K a_K W_K, one value per row of ``monomial_sets``, gathered into ``monomial_index``.
 
         V_sigma has its 1 at (R, C) when R's letter at slot sigma(k) is C's
         letter k for every k, so an entry is 0 unless R and C hold the same
@@ -192,17 +192,14 @@ class OracleResult:
         """
         (n,), m, d = self.scenario.factors, self.scenario.power, self.scenario.dim
         check_dim_cap(d)
-        index = monomial_index(n, m)
-        first = np.empty(comb(n * n + m - 1, m), dtype=np.intp)
-        first[index] = np.arange(d * d)
-        # each word's letters, and its letters sorted, as a word: its content
-        letters = np.array(np.unravel_index(np.arange(d), (n,) * m), dtype=np.min_scalar_type(n - 1))
-        content = np.ravel_multi_index(tuple(np.sort(letters, axis=0)), (n,) * m)
-        keep = content[first // d] == content[first % d]  # row and column hold the same letters
-        rows, cols = (letters[:, word].T for word in np.divmod(first[keep], d))
-        step = max(1, d * d // (m * len(rows)))  # compares at most d^2 bytes, 1/8 of the index
+        rows, cols = np.divmod(monomial_sets(n, m), n)  # an entry (R, C) per monomial, R sorted
+        shape = (n,) * m  # kept if C's letters, sorted (its word's content), are R's
+        content = np.ravel_multi_index(np.sort(np.unravel_index(np.arange(d), shape), axis=0), shape)
+        keep = content[np.ravel_multi_index(cols.T, shape)] == np.ravel_multi_index(rows.T, shape)
+        rows, cols = rows[keep], cols[keep]
+        step = max(1, d * d // (m * len(rows)))  # compares at most d^2 letters, 1/8 of the index
         den = lcm(*(a.denominator for a in self.class_coefficients.values()))
-        numerators = np.zeros(len(rows), dtype=object)  # of the kept entries, over den
+        numerators = np.zeros(len(rows), dtype=object)  # of the kept monomials, over den
         for ct, a in self.class_coefficients.items():
             if a == 0:  # the classes pinned to zero by the solve
                 continue
@@ -211,7 +208,9 @@ class OracleResult:
             count = sum((rows[:, block] == cols[:, None]).all(axis=2).sum(axis=1) for block in blocks)
             numerators += count.astype(object) * int(a * den)
         distinct, label = distinct_entries([0, *numerators.tolist()])  # 0 for the other monomials
-        return [Fraction(x, den) for x in distinct], label[np.cumsum(keep) * keep][index].reshape(d, d)
+        labels = monomial_index(n, m)  # built last; its ranks become labels in place, "clip" never fires
+        np.take(label[np.cumsum(keep) * keep], labels, out=labels, mode="clip")
+        return [Fraction(x, den) for x in distinct], labels.reshape(d, d)
 
     @cached_property
     def mean(self) -> np.ndarray:

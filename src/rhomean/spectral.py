@@ -95,7 +95,6 @@ class Cluster:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     clusters: tuple[Cluster, ...]
-    cluster_tol: float
     stable: bool = True
 
     @property
@@ -127,9 +126,7 @@ def cluster_spectrum(
                 Cluster(value=float(vals[start:i].mean()), multiplicity=i - start, basis=q)
             )
             start = i
-    return SpectralDecomposition(
-        clusters=tuple(clusters), cluster_tol=cluster_tol, stable=stable
-    )
+    return SpectralDecomposition(clusters=tuple(clusters), stable=stable)
 
 
 def subspace_distance(basis_a: np.ndarray, basis_b: np.ndarray) -> float:

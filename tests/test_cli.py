@@ -559,6 +559,8 @@ def test_usage_and_failure_exit_codes(capsys, monkeypatch):
         # below the estimator's minimum sample count, and a spin label out of range
         mean[:-1] + ["50"],
         ["verify", "--case", "mc.n3m2", "--samples", "99"],
+        # a case id is one of verify.CASES
+        ["verify", "--case", "nope"],
         # a cluster tolerance is finite and > 0, a substitution parameter finite and nonzero
         ["spectrum", "--in", "x.json", "--tol=nan"],
         ["spectrum", "--in", "x.json", "--tol=inf"],

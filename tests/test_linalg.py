@@ -15,6 +15,8 @@ from rhomean.linalg import (
     check_dim_cap,
     distinct_entries,
     hermitian_eig,
+    monomial_index,
+    monomial_sets,
     partial_trace,
     permutation_operator,
     reorder_subsystems,
@@ -217,3 +219,16 @@ def test_distinct_entries_matches_setdefault_loop(seq):
     assert values == ref_values
     assert [type(v) for v in values] == [type(v) for v in ref_values]
     assert index.dtype == np.intp and index.tolist() == ref_index
+
+
+@pytest.mark.parametrize("dim, m", [(2, 1), (2, 7), (3, 4), (4, 3), (9, 2), (16, 1), (257, 1)])
+def test_monomial_sets_lists_the_positions_of_each_ranked_monomial(dim, m):
+    sets, index = monomial_sets(dim, m), monomial_index(dim, m)
+    assert sets.shape == (math.comb(dim * dim + m - 1, m), m)
+    # the least unsigned dtype that holds dim^2 - 1: uint8 up to dim 16, uint32 at 257
+    assert sets.dtype == np.min_scalar_type(dim * dim - 1)
+    assert np.iinfo(sets.dtype).max >= dim * dim - 1
+    # entry (I, J) = (i_0..i_(m-1), j_0..j_(m-1)) has the positions i_k * dim + j_k
+    digits = np.indices((dim,) * (2 * m)).reshape(2 * m, -1)
+    positions = np.sort((digits[:m] * dim + digits[m:]).T, axis=1)
+    assert np.array_equal(sets[index], positions)

@@ -4,6 +4,7 @@ Derived expectations are checked against independent oracles (quadrature over
 the simplex, explicit enumeration); published values are asserted exactly.
 """
 
+import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -320,6 +321,20 @@ def test_labelled_build_matches_class_scatter_reference(n, m, q):
     per_monomial = np.zeros(index.max() + 1, dtype=np.intp)
     per_monomial[index] = labels.ravel()
     assert np.array_equal(per_monomial[index], labels.ravel())
+
+
+@pytest.mark.parametrize("n, m", [(4, 5), (2, 10)])
+def test_labelled_build_holds_one_dense_array(n, m):
+    # the labels are gathered into the index's own buffer, built last: a build
+    # that holds the index beside a second D^2 array peaks near twice the labels
+    result = haar_mean(n, m, F(1, 3))
+    tracemalloc.start()
+    try:
+        _, labels = result.labelled
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * labels.nbytes, peak / labels.nbytes
 
 
 def test_mean_at_ten_slots_matches_its_spectrum():
