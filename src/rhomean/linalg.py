@@ -9,6 +9,7 @@ map through which both estimators of E[rho^(x m)] fill their matrices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb, prod
 
@@ -21,6 +22,13 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
+def as_integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     """An ordered list of subsystem dimensions raised to a tensor power."""
@@ -29,6 +37,9 @@ class Scenario:
     power: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "power", as_integer("power", self.power))
+        factors = tuple(as_integer(f"factors[{i}]", n) for i, n in enumerate(self.factors))
+        object.__setattr__(self, "factors", factors)
         if self.power < 1:
             raise ValueError("power must be >= 1")
         if any(n < 2 for n in self.factors) or not self.factors:

@@ -36,7 +36,6 @@ come from one thread at a time.
 from __future__ import annotations
 
 import multiprocessing
-import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import Scenario, check_dim_cap, monomial_index
+from .linalg import Scenario, as_integer, check_dim_cap, monomial_index
 from .measures import (
     MeasureSpec,
     RandomStream,
@@ -226,13 +225,6 @@ def _pool_map(jobs: list, processes: int) -> list:
         raise
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def estimate_mean(
     spec: MeasureSpec,
     m: int,
@@ -242,7 +234,7 @@ def estimate_mean(
 ) -> MeanEstimate:
     """Unbiased sample mean of rho^(x m) with deterministic chunked reduction."""
     names = ("m", "n_samples", "workers", "seed")
-    m, n_samples, workers, seed = map(_integer, names, (m, n_samples, workers, seed))
+    m, n_samples, workers, seed = map(as_integer, names, (m, n_samples, workers, seed))
     scenario = scenario_for(spec, m)
     check_dim_cap(scenario.dim)
     if n_samples < MIN_SAMPLES:

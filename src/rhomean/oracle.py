@@ -14,25 +14,28 @@ so the class coefficients solve the character system
 sum_K a_K |K| chi^lam(K) / f^lam = c_lam, one row per lam with at most N
 rows, whose right-hand side needs only the law's power-sum moments
 (``power_sum_moment``), for Haar x Dirichlet states and the Bloch family
-alike.  The p(m) class coefficients are the stored form of a result: the
-exact spectrum reads the same rows, so it needs no enumeration of S_m and no
-matrix.  An entry depends only on its monomial, so the matrix is counted on
-the colex multisets (``linalg.monomial_sets``) and gathered once into
-``linalg.monomial_index`` as labels: distinct Fractions ``values`` (17 of
-65536 entries at N=4, m=4) and a (D, D) integer array; Kronecker products and
-reordering touch each value once, and the dense matrix is gathered on demand.
-Everything is exact rational arithmetic; eigenvalues and multiplicities come
-from the irreducible components of (C^N)^(x m), not from diagonalization.
+alike.  A Dirichlet moment of a cycle type is a sum of integer numerators over
+one denominator, and the character rows are built once per (N, m).  The p(m)
+class coefficients are the stored form of a result: the exact spectrum reads
+the same rows, so it needs no enumeration of S_m and no matrix.  An entry
+depends only on its monomial, so the matrix is counted on the colex multisets
+(``linalg.monomial_sets``) and gathered once into ``linalg.monomial_index`` as
+labels: distinct Fractions ``values`` (17 of 65536 entries at N=4, m=4) and a
+(D, D) integer array; Kronecker products and reordering touch each value once,
+and the dense matrix is gathered on demand.  Everything is exact rational
+arithmetic; eigenvalues and multiplicities come from the irreducible
+components of (C^N)^(x m), not from diagonalization.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import product
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, product
 from math import comb, factorial, lcm, prod
 from numbers import Real
+from operator import mul
 
 import numpy as np
 
@@ -63,6 +66,18 @@ from .symmetry import (
 Labelled = tuple[list[Fraction], np.ndarray]  # matrix values[labels], values distinct
 
 
+def _rising_factorials(q: tuple, top: int) -> list[list[int]]:
+    """Rows d^k (alpha)_k for k <= top, one per level and then one for sum(alpha).
+
+    alpha_i = 1 - q_i = a_i / d over the common denominator d (a power of two
+    for float q), so every row is an integer product prod_{t<k} (a + t d).
+    """
+    alphas = [1 - Fraction(x) for x in q]
+    d = lcm(*(a.denominator for a in alphas))
+    nums = [int(a * d) for a in alphas]
+    return [list(accumulate((a + t * d for t in range(top)), mul, initial=1)) for a in (*nums, sum(nums))]
+
+
 def dirichlet_moment(q: tuple, k: tuple[int, ...]) -> Fraction:
     """E[prod_i e_i^{k_i}] on the simplex of len(q) levels, exponents -q_i.
 
@@ -72,16 +87,8 @@ def dirichlet_moment(q: tuple, k: tuple[int, ...]) -> Fraction:
     """
     if len(k) != len(q) or any(x < 0 for x in k):
         raise ValueError("exponent vector must list one value >= 0 per level")
-    alphas = [1 - Fraction(x) for x in q]
-    num = Fraction(1)
-    for a, ki in zip(alphas, k):
-        for t in range(ki):
-            num *= a + t
-    den = Fraction(1)
-    total = sum(alphas)
-    for t in range(sum(k)):
-        den *= total + t
-    return num / den
+    *rows, total = _rising_factorials(q, sum(k))
+    return Fraction(prod(row[x] for row, x in zip(rows, k)), total[-1])
 
 
 def power_sum_moment(law: MeasureSpec, cycle_lengths: tuple[int, ...]) -> Fraction:
@@ -91,28 +98,29 @@ def power_sum_moment(law: MeasureSpec, cycle_lengths: tuple[int, ...]) -> Fracti
     mean of rho^(x m) with a permutation operator of the given cycle type.
     Length-1 cycles contribute p_1 = 1 exactly and are skipped.  Under a
     Dirichlet law the rest are expanded over level assignments into Dirichlet
-    moments.  Under the Bloch law the spectrum is (1 +- r)/2, so
+    moments, whose exponents all sum to L = sum of the lengths: they share the
+    denominator (sum alpha)_L, so their integer numerators are summed.  Under
+    the Bloch law the spectrum is (1 +- r)/2, so
     p_l = 2^(1-l) sum_{even k} C(l, k) r^k is a polynomial in s = r^2, and
-    r^2 ~ Beta(3/2, 1-u) gives E[s^j] = (3/2)_j / (5/2-u)_j.
+    r^2 ~ Beta(3/2, 1-u) gives E[s^j] = (3/2)_j / (5/2-u)_j, a Dirichlet moment.
     """
     if any(l < 1 for l in cycle_lengths):
         raise ValueError("cycle lengths must be positive")
     lens = [l for l in cycle_lengths if l > 1]
     if isinstance(law, HaarDirichletMeasure):
-        total = Fraction(0)
+        *rows, total = _rising_factorials(law.q, sum(lens))
+        num = 0
         for assign in product(range(law.n), repeat=len(lens)):
             k = [0] * law.n
             for level, l in zip(assign, lens):
                 k[level] += l
-            total += dirichlet_moment(law.q, tuple(k))
-        return total
+            num += prod(row[x] for row, x in zip(rows, k))
+        return Fraction(num, total[-1])
     if isinstance(law, BlochBallMeasure):
-        # prod_j p_{l_j} by powers of s, paired with E[s^j] = prod_{t<j} (a+t)/(b+t)
+        # prod_j p_{l_j} by powers of s, paired with E[s^j]; q = 1 - alpha for alpha = (3/2, 1-u)
         p = [[Fraction(comb(l, 2 * j), 2 ** (l - 1)) for j in range(l // 2 + 1)] for l in lens]
         poly = reduce(np.convolve, p, np.array([Fraction(1)], dtype=object))
-        a, b = Fraction(3, 2), Fraction(5, 2) - Fraction(law.u)
-        rise = [(a + t) / (b + t) for t in range(len(poly))]
-        return sum(c * prod(rise[:j]) for j, c in enumerate(poly))
+        return sum(c * dirichlet_moment((Fraction(-1, 2), law.u), (j, 0)) for j, c in enumerate(poly))
     raise TypeError(f"no power-sum moments for the law {law!r}")
 
 
@@ -230,11 +238,13 @@ class OracleResult:
         return sum(values[i] for i in labels.diagonal().tolist())
 
 
-def _irreps(n: int, m: int) -> list[tuple[int, int, list[Fraction]]]:
+@lru_cache(maxsize=None)
+def _irreps(n: int, m: int) -> tuple[tuple[int, int, tuple[Fraction, ...]], ...]:
     """(f^lam, dim_U(lam), r_lam) per partition lam of m with at most n rows.
 
     r_lam[K] = |K| chi^lam(K) / f^lam is the scalar by which the class sum
     W_K acts on the isotypic component lam; K runs over sorted(partitions(m)).
+    Built once per (n, m): ``exact_mean`` and ``exact_spectrum`` read the same rows.
     """
     types = sorted(partitions(m))
     out = []
@@ -243,8 +253,8 @@ def _irreps(n: int, m: int) -> list[tuple[int, int, list[Fraction]]]:
         if wdim == 0:
             continue
         f = symmetric_group_dimension(lam)
-        out.append((f, wdim, [Fraction(class_size(ct) * character(lam, ct), f) for ct in types]))
-    return out
+        out.append((f, wdim, tuple(Fraction(class_size(ct) * character(lam, ct), f) for ct in types)))
+    return tuple(out)
 
 
 def exact_mean(law: MeasureSpec, m: int) -> OracleResult:

@@ -194,6 +194,13 @@ def test_scenario():
         Scenario(factors=(1, 3), power=2)
     with pytest.raises(ValueError):
         Scenario(factors=(2,), power=0)
+    with pytest.raises(ValueError, match=r"^factors\[1\] must be an integer"):
+        Scenario(factors=(2, 2.5), power=2)
+    with pytest.raises(ValueError, match="^power must be an integer"):
+        Scenario(factors=(2,), power=2.0)
+    # index-like integers are taken as they are
+    sc = Scenario(factors=[np.int64(2)], power=np.int32(3))
+    assert sc == Scenario(factors=(2,), power=3) and type(sc.power) is int
     with pytest.raises(ValueError):
         check_dim_cap(Scenario(factors=(8,), power=5).dim)
 

@@ -6,11 +6,11 @@ the simplex, explicit enumeration); published values are asserted exactly.
 
 import tracemalloc
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rhomean.oracle
@@ -154,6 +154,53 @@ def test_power_sum_moment_examples():
         ]
     )
     assert abs(float(power_sum_moment(HaarDirichletMeasure(3, 0), (2, 2))) - quad) < 2e-4
+
+
+def dirichlet_moment_reference(q, k):
+    """The Dirichlet moment as one Fraction rising factorial step at a time."""
+    alphas = [1 - F(x) for x in q]
+    num = den = F(1)
+    for a, ki in zip(alphas, k):
+        for t in range(ki):
+            num *= a + t
+    for t in range(sum(k)):
+        den *= sum(alphas) + t
+    return num / den
+
+
+def power_sum_moment_reference(law, cycle_lengths, moment):
+    """E[prod p_l] as a Fraction sum of one Dirichlet moment per level assignment."""
+    lens = [l for l in cycle_lengths if l > 1]
+    total = F(0)
+    for assign in product(range(law.n), repeat=len(lens)):
+        k = [0] * law.n
+        for level, l in zip(assign, lens):
+            k[level] += l
+        total += moment(law.q, tuple(k))
+    return total
+
+
+_LEVEL_EXPONENTS = st.one_of(
+    st.fractions(min_value=-3, max_value=F(99, 100), max_denominator=100),
+    st.floats(min_value=-3, max_value=0.99, allow_subnormal=False),
+)
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(_LEVEL_EXPONENTS, min_size=n, max_size=n)))
+@example([F(99, 100), F(-3, 2)])
+@example([F(-1, 2), F(99, 100), F(1, 3), F(-7, 4)])
+@example([0.1, 0.1, 0.1])
+@example([1 / 3, 1 / 3, 1 / 3, 1 / 3])
+@example([0.1, 1 / 3, F(-2, 5)])
+@settings(max_examples=15, deadline=None)
+def test_power_sum_moment_matches_the_assignment_sum(q):
+    law = HaarDirichletMeasure(len(q), q)
+    for m in range(1, 7):
+        for ct in partitions(m):
+            want = power_sum_moment_reference(law, ct, dirichlet_moment_reference)
+            assert power_sum_moment_reference(law, ct, dirichlet_moment) == want
+            got = power_sum_moment(law, ct)
+            assert type(got) is F and got == want
 
 
 def test_haar_mean_matches_published_4x4():
@@ -391,6 +438,23 @@ def test_oracle_exact_invariants_property(case):
     assert np.all(_partial_trace_last(result.mean, n) == haar_mean(n, m - 1, q).mean)
 
 
+@st.composite
+def _spectrum_cases(draw):
+    n = draw(st.integers(2, 4))
+    q = st.fractions(min_value=-3, max_value=F(99, 100), max_denominator=100)
+    return n, draw(st.integers(1, 8)), draw(st.lists(q, min_size=n, max_size=n))
+
+
+@given(_spectrum_cases())
+@settings(max_examples=25, deadline=None)
+def test_spectrum_invariants_property(case):
+    n, m, q = case
+    spec = haar_mean(n, m, q).spectrum()
+    assert sum(k for _, k in spec) == n**m
+    assert all(v > 0 for v, _ in spec)
+    assert sum(v * k for v, k in spec) == 1
+
+
 def test_composite_single_factor_matches_plain():
     plain = haar_mean(2, 2, 0)
     comp = composite_haar_mean(Scenario(factors=(2,), power=2))
@@ -442,6 +506,10 @@ def test_haar_mean_input_validation():
         haar_mean(1, 2, 0)
     with pytest.raises(ValueError):
         haar_mean(2, 2, 1)
+    with pytest.raises(ValueError, match="^power must be an integer"):
+        haar_mean(2, 2.5)
+    with pytest.raises(ValueError, match="^power must be an integer"):
+        exact_mean(BlochBallMeasure(0.5), 2.0)
     # the cap applies where the matrix is built: 2^13 exceeds it, the spectrum does not
     over = haar_mean(2, 13, 0)
     assert sum(k for _, k in over.spectrum()) == 2**13
