@@ -14,8 +14,9 @@ so the class coefficients solve the character system
 sum_K a_K |K| chi^lam(K) / f^lam = c_lam, one row per lam with at most N
 rows, whose right-hand side needs only the law's power-sum moments
 (``power_sum_moment``), for Haar x Dirichlet states and the Bloch family
-alike.  A Dirichlet moment of a cycle type is a sum of integer numerators over
-one denominator, and the character rows are built once per (N, m).  The p(m)
+alike.  Over the moments' lcm, each row scales to integers (the rows
+|K| chi^lam(K) are built once per (N, m)) and the system is solved by
+Gauss-Jordan in integers, one Fraction per class coefficient.  The p(m)
 class coefficients are the stored form of a result: the exact spectrum reads
 the same rows, so it needs no enumeration of S_m and no matrix.  An entry
 depends only on its monomial, so the matrix is counted on the colex multisets
@@ -33,7 +34,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from numbers import Real
 from operator import mul
 
@@ -124,41 +125,39 @@ def power_sum_moment(law: MeasureSpec, cycle_lengths: tuple[int, ...]) -> Fracti
     raise TypeError(f"no power-sum moments for the law {law!r}")
 
 
-def solve_rational_system(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
-    """Exact solution of a (possibly singular but consistent) linear system.
+def solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """Exact solution of a (possibly singular but consistent) integer linear system.
 
-    Gauss-Jordan over Fraction with free variables pinned to zero.  Any such
-    solution of the character system reproduces the same matrix, because a
-    class-sum combination is fixed by its scalar on every isotypic component.
+    Gauss-Jordan in integers, row_i <- pv row_i - f row_r over its gcd, with free
+    variables pinned to zero: each row is a nonzero multiple of its row under
+    Fraction elimination, so the pivots and the solution are the same.  Any such
+    solution of the character system gives the same matrix, because a class-sum
+    combination is fixed by its scalar on every isotypic component.
     """
-    n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    m = [[*row, b] for row, b in zip(rows, rhs)]
     pivots: list[int] = []
-    r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top, pv = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                f = row[c]
+                row = [pv * a - f * b for a, b in zip(row, top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == n_rows:
+        if len(pivots) == len(m):
             break
-    for i in range(r, n_rows):
-        if m[i][n_cols] != 0:
-            raise ValueError("inconsistent linear system")
+    if any(row[n_cols] for row in m[len(pivots) :]):
+        raise ValueError("inconsistent linear system")
     sol = [Fraction(0)] * n_cols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][n_cols]
+    for row, c in zip(m, pivots):
+        sol[c] = Fraction(row[n_cols], row[c])
     return sol
 
 
@@ -206,15 +205,15 @@ class OracleResult:
         keep = content[np.ravel_multi_index(cols.T, shape)] == np.ravel_multi_index(rows.T, shape)
         rows, cols = rows[keep], cols[keep]
         step = max(1, d * d // (m * len(rows)))  # compares at most d^2 letters, 1/8 of the index
-        den = lcm(*(a.denominator for a in self.class_coefficients.values()))
+        coeffs, den = _over_lcm(list(self.class_coefficients.values()))
         numerators = np.zeros(len(rows), dtype=object)  # of the kept monomials, over den
-        for ct, a in self.class_coefficients.items():
+        for ct, a in zip(self.class_coefficients, coeffs):
             if a == 0:  # the classes pinned to zero by the solve
                 continue
             perms = np.array(list(class_elements(ct)), dtype=np.intp)
             blocks = (perms[s : s + step] for s in range(0, len(perms), step))
             count = sum((rows[:, block] == cols[:, None]).all(axis=2).sum(axis=1) for block in blocks)
-            numerators += count.astype(object) * int(a * den)
+            numerators += count.astype(object) * a
         distinct, label = distinct_entries([0, *numerators.tolist()])  # 0 for the other monomials
         labels = monomial_index(n, m)  # built last; its ranks become labels in place, "clip" never fires
         np.take(label[np.cumsum(keep) * keep], labels, out=labels, mode="clip")
@@ -239,22 +238,28 @@ class OracleResult:
 
 
 @lru_cache(maxsize=None)
-def _irreps(n: int, m: int) -> tuple[tuple[int, int, tuple[Fraction, ...]], ...]:
-    """(f^lam, dim_U(lam), r_lam) per partition lam of m with at most n rows.
+def _irreps(n: int, m: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(f^lam, dim_U(lam), chi_lam) per partition lam of m with at most n rows.
 
-    r_lam[K] = |K| chi^lam(K) / f^lam is the scalar by which the class sum
-    W_K acts on the isotypic component lam; K runs over sorted(partitions(m)).
+    W_K acts on the isotypic component lam as chi_lam[K] / f^lam, with the
+    integer chi_lam[K] = |K| chi^lam(K) and K over sorted(partitions(m)).
     Built once per (n, m): ``exact_mean`` and ``exact_spectrum`` read the same rows.
     """
     types = sorted(partitions(m))
+    sizes = [class_size(ct) for ct in types]
     out = []
     for lam in partitions(m):
         wdim = unitary_group_dimension(lam, n)
-        if wdim == 0:
-            continue
-        f = symmetric_group_dimension(lam)
-        out.append((f, wdim, tuple(Fraction(class_size(ct) * character(lam, ct), f) for ct in types)))
+        if wdim:
+            chi = tuple(size * character(lam, ct) for size, ct in zip(sizes, types))
+            out.append((symmetric_group_dimension(lam), wdim, chi))
     return tuple(out)
+
+
+def _over_lcm(xs: list[Fraction]) -> tuple[list[int], int]:
+    """The integer numerators of xs over their least common denominator, and that denominator."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def exact_mean(law: MeasureSpec, m: int) -> OracleResult:
@@ -283,16 +288,15 @@ def exact_mean(law: MeasureSpec, m: int) -> OracleResult:
             matrix=(values, reorder_subsystems(labels, dims, perm)),
         )
     types = sorted(partitions(m))
-    moments = [power_sum_moment(law, ct) for ct in types]
+    moments, den = _over_lcm([power_sum_moment(law, ct) for ct in types])
     irreps = _irreps(law.dim, m)
-    # sum_mu chi^lam(mu) |mu| E[p_mu] / m! = f^lam (r_lam . moments) / m!
-    rhs = [
-        f * sum(r * p for r, p in zip(row, moments)) / (factorial(m) * wdim)
-        for f, wdim, row in irreps
-    ]
-    # Gauss-Jordan pins the free classes of a rank-deficient system (n < m)
-    # to zero, so the dense build skips them.
-    class_coeff = dict(zip(types, solve_rational_system([row for _, _, row in irreps], rhs)))
+    # Row lam, chi . a / f = E[s_lam] / dim_U = chi . moments / (den m! dim_U), times
+    # f den m! dim_U, is dim_U chi . x = f chi . moments with x = den m! a, all integers.
+    # The solve pins the free classes of a rank-deficient system (n < m) to zero,
+    # so the dense build skips them.
+    rows = [[wdim * c for c in chi] for _, wdim, chi in irreps]
+    x = solve_integer_system(rows, [f * sum(map(mul, chi, moments)) for f, _, chi in irreps])
+    class_coeff = {ct: a / (den * factorial(m)) for ct, a in zip(types, x)}
     return OracleResult(scenario=scenario, measure=law, class_coefficients=class_coeff)
 
 
@@ -318,10 +322,10 @@ def exact_spectrum(result: OracleResult) -> list[tuple[Fraction, int]]:
     if result.class_coefficients is not None:
         (n,) = result.scenario.factors
         m = result.scenario.power
-        coeffs = [result.class_coefficients[ct] for ct in sorted(partitions(m))]
+        coeffs, den = _over_lcm([result.class_coefficients[ct] for ct in sorted(partitions(m))])
         spec: dict[Fraction, int] = {}
-        for f, wdim, row in _irreps(n, m):
-            val = sum(r * a for r, a in zip(row, coeffs))
+        for f, wdim, chi in _irreps(n, m):
+            val = Fraction(sum(map(mul, chi, coeffs)), f * den)
             spec[val] = spec.get(val, 0) + f * wdim
         return sorted(spec.items())
     if result.factor_spectra is None:

@@ -16,10 +16,9 @@ never enumerating S_m.  ``cycle_type``, ``compose``, ``inverse`` and
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 
 def partitions(n: int, _cap: int | None = None) -> list[tuple[int, ...]]:
@@ -132,11 +131,8 @@ def unitary_group_dimension(lam: tuple[int, ...], n: int) -> int:
     """Dimension of the U(n) irrep with highest weight lam; 0 if lam has > n rows."""
     if len(lam) > n:
         return 0
-    val = Fraction(1)
-    for i, j, hook in _hook_lengths(lam):
-        val *= Fraction(n + j - i, hook)
-    assert val.denominator == 1
-    return int(val)
+    cells = _hook_lengths(lam)  # prod of contents over prod of hooks: the division is exact
+    return prod(n + j - i for i, j, _ in cells) // prod(hook for _, _, hook in cells)
 
 
 def _beta_set(lam: tuple[int, ...]) -> tuple[int, ...]:

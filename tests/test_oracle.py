@@ -7,6 +7,8 @@ the simplex, explicit enumeration); published values are asserted exactly.
 import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations, product
+from math import factorial
+from operator import mul
 
 import numpy as np
 import pytest
@@ -37,10 +39,18 @@ from rhomean.oracle import (
     exact_mean,
     haar_mean,
     power_sum_moment,
-    solve_rational_system,
+    solve_integer_system,
 )
 from rhomean.spectral import cluster_spectrum
-from rhomean.symmetry import class_elements, class_size, cycle_type, partitions
+from rhomean.symmetry import (
+    character,
+    class_elements,
+    class_size,
+    cycle_type,
+    partitions,
+    symmetric_group_dimension,
+    unitary_group_dimension,
+)
 
 
 def per_sigma(result):
@@ -493,10 +503,117 @@ def test_composite_reorders_to_power_major_blocks():
     assert np.all(comp.mean == want)
 
 
+def solve_rational_system(rows, rhs):
+    """Gauss-Jordan over Fraction with free variables pinned to zero, as the
+    oracle once solved the character system: the reference for the integer solver."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    for i in range(r, n_rows):
+        if m[i][n_cols] != 0:
+            raise ValueError("inconsistent linear system")
+    sol = [F(0)] * n_cols
+    for i, c in enumerate(pivots):
+        sol[c] = m[i][n_cols]
+    return sol
+
+
 def test_solve_rational_system_errors():
+    # inconsistent: x = 0 and x = 1, for the integer solver and its Fraction reference
     with pytest.raises(ValueError):
-        # inconsistent: x = 0 and x = 1
+        solve_integer_system([[1], [1]], [0, 1])
+    with pytest.raises(ValueError):
         solve_rational_system([[F(1)], [F(1)]], [F(0), F(1)])
+
+
+@st.composite
+def _integer_systems(draw):
+    """A random integer system with duplicate rows, zero rows and zero columns,
+    and a right-hand side that is consistent unless a perturbation hits it."""
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entries = st.integers(-9, 9)
+    row = st.lists(entries, min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, n_rows - 1), max_size=2))]
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        rows[i] = [0] * n_cols
+    zero_cols = draw(st.sets(st.integers(0, n_cols - 1), max_size=2))
+    rows = [[0 if c in zero_cols else a for c, a in enumerate(row)] for row in draw(st.permutations(rows))]
+    x = draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
+    noise = draw(st.lists(st.sampled_from([0, 0, 0, 1, -3]), min_size=len(rows), max_size=len(rows)))
+    rhs = [sum(map(mul, row, x)) + e for row, e in zip(rows, noise)]
+    return rows, rhs, zero_cols
+
+
+@given(_integer_systems())
+@example(([[2, 0, 4], [2, 0, 4], [0, 0, 0]], [6, 6, 0], {1}))  # duplicate and zero rows
+@example(([[2, 0, 4], [2, 0, 4]], [6, 7], {1}))  # duplicate rows, inconsistent
+@example(([[0, 3], [0, 6]], [1, 2], {0}))  # a leading zero column
+@settings(max_examples=200, deadline=None)
+def test_integer_solver_matches_the_fraction_reference(system):
+    rows, rhs, zero_cols = system
+    try:
+        want = solve_rational_system([[F(a) for a in row] for row in rows], [F(b) for b in rhs])
+    except ValueError:
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve_integer_system(rows, rhs)
+        return
+    got = solve_integer_system(rows, rhs)
+    assert all(type(x) is F for x in got) and got == want
+    assert all(got[c] == 0 for c in zero_cols)  # free columns are pinned to zero
+
+
+def exact_mean_reference(law, m):
+    """Class coefficients and spectrum as the oracle once built them: Fraction
+    rows |K| chi^lam(K) / f^lam, one Fraction moment per cycle type, and the
+    Fraction Gauss-Jordan."""
+    types = sorted(partitions(m))
+    moments = [power_sum_moment(law, ct) for ct in types]
+    rows, rhs, mults = [], [], []
+    for lam in partitions(m):
+        wdim = unitary_group_dimension(lam, law.dim)
+        if wdim == 0:
+            continue
+        f = symmetric_group_dimension(lam)
+        row = [F(class_size(ct) * character(lam, ct), f) for ct in types]
+        rows.append(row)
+        rhs.append(f * sum(r * p for r, p in zip(row, moments)) / (factorial(m) * wdim))
+        mults.append(f * wdim)
+    coeffs = solve_rational_system(rows, rhs)
+    spec = {}
+    for row, mult in zip(rows, mults):
+        val = sum(r * a for r, a in zip(row, coeffs))
+        spec[val] = spec.get(val, 0) + mult
+    return dict(zip(types, coeffs)), sorted(spec.items())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_integer_pipeline_matches_the_fraction_reference(n):
+    qs = [0, F(1, 3), F(-1, 2), F(1, 2), 0.25]
+    qs += [tuple(F(k, n + 2) for k in range(n)), tuple(-0.5 + 0.125 * k for k in range(n))]
+    laws = [(HaarDirichletMeasure(n, q), m) for q in qs for m in range(1, 10)]
+    if n == 2:
+        laws += [(BlochBallMeasure(u), m) for u in (-2, F(1, 2), 0) for m in range(1, 8)]
+    for law, m in laws:
+        result = exact_mean(law, m)
+        assert (result.class_coefficients, result.spectrum()) == exact_mean_reference(law, m), (law, m)
 
 
 def test_haar_mean_input_validation():

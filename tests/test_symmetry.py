@@ -1,7 +1,8 @@
 """Partitions, characters and dimension formulas, checked against first principles."""
 
+from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -99,6 +100,23 @@ def test_unitary_group_dimensions():
             assert unitary_group_dimension(lam, n) == comb(n, m)
     # rows beyond n vanish
     assert unitary_group_dimension((1, 1, 1), 2) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_unitary_group_dimension_matches_weyl_product(n):
+    # prod_{i<j<=n} (lam_i - lam_j + j - i) / (j - i), lam padded with zeros to n rows
+    for m in range(11):
+        for lam in partitions(m):
+            got = unitary_group_dimension(lam, n)
+            assert type(got) is int
+            if len(lam) > n:
+                assert got == 0
+                continue
+            row = list(lam) + [0] * (n - len(lam))
+            weyl = prod(
+                Fraction(row[i] - row[j] + j - i, j - i) for i in range(n) for j in range(i + 1, n)
+            )
+            assert got == weyl, (lam, n)
 
 
 def test_schur_weyl_dimension_count():
