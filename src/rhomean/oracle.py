@@ -14,11 +14,11 @@ so the class coefficients solve the character system
 sum_K a_K |K| chi^lam(K) / f^lam = c_lam, one row per lam with at most N
 rows, whose right-hand side needs only the law's power-sum moments
 (``power_sum_moment``), for Haar x Dirichlet states and the Bloch family
-alike.  Over the moments' lcm, each row scales to integers (the rows
-|K| chi^lam(K) are built once per (N, m)) and the system is solved by
-Gauss-Jordan in integers, one Fraction per class coefficient.  The p(m)
-class coefficients are the stored form of a result: the exact spectrum reads
-the same rows, so it needs no enumeration of S_m and no matrix.  An entry
+alike.  Moments over one integer denominator and rows |K| chi^lam(K) once per
+(N, m) are both folded a cycle at a time, memoized on cycle-type prefixes, and
+solved by Gauss-Jordan in integers, one Fraction per class coefficient.  The
+p(m) class coefficients are the stored form of a result: the exact spectrum
+reads the same rows, so it needs no enumeration of S_m and no matrix.  An entry
 depends only on its monomial, so the matrix is counted on the colex multisets
 (``linalg.monomial_sets``) and gathered once into ``linalg.monomial_index`` as
 labels: distinct Fractions ``values`` (17 of 65536 entries at N=4, m=4) and a
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm, prod
 from numbers import Real
 from operator import mul
@@ -56,10 +56,11 @@ from .measures import (
     scenario_for,
 )
 from .symmetry import (
-    character,
+    beta_set,
     class_elements,
     class_size,
     partitions,
+    power_sum_characters,
     symmetric_group_dimension,
     unitary_group_dimension,
 )
@@ -97,31 +98,51 @@ def power_sum_moment(law: MeasureSpec, cycle_lengths: tuple[int, ...]) -> Fracti
 
     This is E[prod_cycles tr(rho^{cycle length})], the quantity pairing the
     mean of rho^(x m) with a permutation operator of the given cycle type.
-    Length-1 cycles contribute p_1 = 1 exactly and are skipped.  Under a
-    Dirichlet law the rest are expanded over level assignments into Dirichlet
-    moments, whose exponents all sum to L = sum of the lengths: they share the
-    denominator (sum alpha)_L, so their integer numerators are summed.  Under
-    the Bloch law the spectrum is (1 +- r)/2, so
-    p_l = 2^(1-l) sum_{even k} C(l, k) r^k is a polynomial in s = r^2, and
-    r^2 ~ Beta(3/2, 1-u) gives E[s^j] = (3/2)_j / (5/2-u)_j, a Dirichlet moment.
+    Length-1 cycles contribute p_1 = 1 exactly.  Under a Dirichlet law the
+    other cycles, of total length L, expand over level assignments into
+    Dirichlet moments prod_i row_i[k_i] / total[L], one per exponent vector k
+    times its count (``_exponent_counts``).  Under the Bloch law the spectrum
+    is (1 +- r)/2, so p_l = 2^(1-l) sum_j C(l, 2j) s^j is a polynomial in
+    s = r^2, and r^2 ~ Beta(3/2, 1-u) gives E[s^j] = (3/2)_j / (5/2-u)_j,
+    read from the rows of alpha = (3/2, 1-u).
     """
     if any(l < 1 for l in cycle_lengths):
         raise ValueError("cycle lengths must be positive")
-    lens = [l for l in cycle_lengths if l > 1]
+    (num,), den = _power_sum_moments(law, [tuple(cycle_lengths)], sum(cycle_lengths))
+    return Fraction(num, den)
+
+
+@lru_cache(maxsize=None)
+def _exponent_counts(n: int, lens: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """How many assignments of cycles of lengths ``lens`` to n levels give each exponent vector (shared)."""
+    if not lens:
+        return {(0,) * n: 1}
+    out: dict[tuple[int, ...], int] = {}
+    for k, c in _exponent_counts(n, lens[:-1]).items():  # the last cycle adds its length to one level
+        for i in range(n):
+            key = k[:i] + (k[i] + lens[-1],) + k[i + 1 :]
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def _power_sum_moments(law: MeasureSpec, types: list[tuple[int, ...]], m: int) -> tuple[list[int], int]:
+    """``power_sum_moment`` of cycle types of at most m slots, as integer numerators over one denominator."""
     if isinstance(law, HaarDirichletMeasure):
-        *rows, total = _rising_factorials(law.q, sum(lens))
-        num = 0
-        for assign in product(range(law.n), repeat=len(lens)):
-            k = [0] * law.n
-            for level, l in zip(assign, lens):
-                k[level] += l
-            num += prod(row[x] for row, x in zip(rows, k))
-        return Fraction(num, total[-1])
+        *rows, total = _rising_factorials(law.q, m)
+        nums = []
+        for ct in types:  # over total[L], and total[m] / total[L] is an integer
+            lens = tuple(l for l in ct if l > 1)
+            num = sum(c * prod(map(list.__getitem__, rows, k)) for k, c in _exponent_counts(law.n, lens).items())
+            nums.append(num * (total[m] // total[sum(lens)]))
+        return nums, total[m]
     if isinstance(law, BlochBallMeasure):
-        # prod_j p_{l_j} by powers of s, paired with E[s^j]; q = 1 - alpha for alpha = (3/2, 1-u)
-        p = [[Fraction(comb(l, 2 * j), 2 ** (l - 1)) for j in range(l // 2 + 1)] for l in lens]
-        poly = reduce(np.convolve, p, np.array([Fraction(1)], dtype=object))
-        return sum(c * dirichlet_moment((Fraction(-1, 2), law.u), (j, 0)) for j, c in enumerate(poly))
+        row, _, total = _rising_factorials((Fraction(-1, 2), law.u), m // 2)
+        nums = []
+        for ct in types:  # 2^(len(ct) - m) prod_j p_{l_j}, as integer coefficients of s^j
+            ps = (np.array([comb(l, 2 * j) for j in range(l // 2 + 1)], dtype=object) for l in ct)
+            poly = reduce(np.convolve, ps, np.array([1], dtype=object))
+            nums.append(sum(c * row[j] * (total[-1] // total[j]) for j, c in enumerate(poly)) << len(ct))
+        return nums, total[-1] << m
     raise TypeError(f"no power-sum moments for the law {law!r}")
 
 
@@ -247,12 +268,13 @@ def _irreps(n: int, m: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """
     types = sorted(partitions(m))
     sizes = [class_size(ct) for ct in types]
+    tables = [power_sum_characters(n, ct) for ct in types]
     out = []
     for lam in partitions(m):
-        wdim = unitary_group_dimension(lam, n)
-        if wdim:
-            chi = tuple(size * character(lam, ct) for size, ct in zip(sizes, types))
-            out.append((symmetric_group_dimension(lam), wdim, chi))
+        if len(lam) <= n:
+            beta = beta_set(lam, n)
+            chi = tuple(size * table.get(beta, 0) for size, table in zip(sizes, tables))
+            out.append((symmetric_group_dimension(lam), unitary_group_dimension(lam, n), chi))
     return tuple(out)
 
 
@@ -288,7 +310,7 @@ def exact_mean(law: MeasureSpec, m: int) -> OracleResult:
             matrix=(values, reorder_subsystems(labels, dims, perm)),
         )
     types = sorted(partitions(m))
-    moments, den = _over_lcm([power_sum_moment(law, ct) for ct in types])
+    moments, den = _power_sum_moments(law, types, m)
     irreps = _irreps(law.dim, m)
     # Row lam, chi . a / f = E[s_lam] / dim_U = chi . moments / (den m! dim_U), times
     # f den m! dim_U, is dim_U chi . x = f chi . moments with x = den m! a, all integers.

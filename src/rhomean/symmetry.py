@@ -1,10 +1,10 @@
 """Combinatorics of the symmetric group and tensor-space representation data.
 
 Everything here is exact: partitions, cycle types, irreducible characters
-(Murnaghan-Nakayama), hook-length dimensions and the dimensions of the
-unitary-group representations that pair with them on (C^N)^(x m).  These are
-the ingredients needed to turn class coefficients into exact
-eigenvalue/multiplicity tables.
+(power sums in the Schur basis, built a border strip at a time), hook-length
+dimensions and the dimensions of the unitary-group representations that pair
+with them on (C^N)^(x m): the ingredients that turn class coefficients into
+exact eigenvalue/multiplicity tables.
 
 A conjugacy class of S_m is named by its cycle type, a partition of m.  The
 only place single permutations are needed is the oracle's matrix build, and
@@ -15,6 +15,7 @@ never enumerating S_m.  ``cycle_type``, ``compose``, ``inverse`` and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import permutations
@@ -135,39 +136,26 @@ def unitary_group_dimension(lam: tuple[int, ...], n: int) -> int:
     return prod(n + j - i for i, j, _ in cells) // prod(hook for _, _, hook in cells)
 
 
-def _beta_set(lam: tuple[int, ...]) -> tuple[int, ...]:
-    ell = len(lam)
-    return tuple(lam[i] + (ell - 1 - i) for i in range(ell))
-
-
-def _partition_from_beta(beta: list[int]) -> tuple[int, ...]:
-    beta = sorted(beta, reverse=True)
-    ell = len(beta)
-    lam = tuple(beta[i] - (ell - 1 - i) for i in range(ell))
-    return tuple(x for x in lam if x > 0)
+def beta_set(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """lam_i + n - 1 - i for lam padded with zeros to n rows, ascending."""
+    return tuple(x + j for j, x in enumerate(reversed(lam + (0,) * (n - len(lam)))))
 
 
 @lru_cache(maxsize=None)
-def character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Irreducible S_m character chi^lam evaluated on cycle type mu.
+def power_sum_characters(n: int, mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """p_mu in the Schur basis of n variables: {beta_set(lam, n): chi^lam(mu)}, cached and shared.
 
-    Murnaghan-Nakayama recursion in the beta-set picture: removing a border
-    strip of length k is subtracting k from one first-column hook length,
-    with sign (-1)^(number of hooks jumped).
+    Multiplying s_lam by p_k, for the last part k of mu, moves one beta entry b
+    up to a free b + k (a border strip), with sign (-1)^(entries jumped); n
+    entries hold no partition of more than n rows, and chi = 0 keeps no key.
     """
-    if sum(lam) != sum(mu):
-        raise ValueError("partition sizes differ")
     if not mu:
-        return 1
-    k = mu[0]
-    beta = _beta_set(lam)
-    in_beta = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in in_beta:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        newbeta = [x for x in beta if x != b] + [nb]
-        total += (-1) ** height * character(_partition_from_beta(newbeta), mu[1:])
-    return total
+        return {tuple(range(n)): 1}
+    k, out = mu[-1], {}
+    for beta, c in power_sum_characters(n, mu[:-1]).items():
+        for i, b in enumerate(beta):
+            j = bisect_left(beta, b + k)
+            if j == n or beta[j] != b + k:
+                key = beta[:i] + beta[i + 1 : j] + (b + k,) + beta[j:]
+                out[key] = out.get(key, 0) + (c if (j - i) % 2 else -c)
+    return {beta: c for beta, c in out.items() if c}

@@ -6,8 +6,9 @@ the simplex, explicit enumeration); published values are asserted exactly.
 
 import tracemalloc
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 from operator import mul
 
 import numpy as np
@@ -43,7 +44,6 @@ from rhomean.oracle import (
 )
 from rhomean.spectral import cluster_spectrum
 from rhomean.symmetry import (
-    character,
     class_elements,
     class_size,
     cycle_type,
@@ -51,6 +51,7 @@ from rhomean.symmetry import (
     symmetric_group_dimension,
     unitary_group_dimension,
 )
+from test_symmetry import character  # the Murnaghan-Nakayama reference
 
 
 def per_sigma(result):
@@ -190,6 +191,23 @@ def power_sum_moment_reference(law, cycle_lengths, moment):
     return total
 
 
+def bloch_power_sum_moment_reference(u, cycle_lengths):
+    """E[prod p_l] on the Bloch ball: the eigenvalues (1 +- r)/2 expanded as a
+    Fraction polynomial in r, paired with E[r^(2j)] = (3/2)_j / (5/2 - u)_j."""
+    poly = [F(1)]  # coefficients of r^0, r^1, ...
+    for l in cycle_lengths:
+        p = [F(comb(l, k) * (1 + (-1) ** k), 2**l) for k in range(l + 1)]  # ((1+r)/2)^l + ((1-r)/2)^l
+        poly = [
+            sum(poly[i] * p[k - i] for i in range(len(poly)) if 0 <= k - i < len(p))
+            for k in range(len(poly) + len(p) - 1)
+        ]
+    total, r_moment = F(0), F(1)
+    for j, c in enumerate(poly[::2]):
+        total += c * r_moment
+        r_moment *= (F(3, 2) + j) / (F(5, 2) - F(u) + j)
+    return total
+
+
 _LEVEL_EXPONENTS = st.one_of(
     st.fractions(min_value=-3, max_value=F(99, 100), max_denominator=100),
     st.floats(min_value=-3, max_value=0.99, allow_subnormal=False),
@@ -211,6 +229,25 @@ def test_power_sum_moment_matches_the_assignment_sum(q):
             assert power_sum_moment_reference(law, ct, dirichlet_moment) == want
             got = power_sum_moment(law, ct)
             assert type(got) is F and got == want
+
+
+@pytest.mark.parametrize("n, m_max", [(2, 8), (3, 8), (4, 8), (5, 8), (8, 6)])
+def test_batched_moments_match_the_assignment_sum(n, m_max):
+    # every cycle type of m slots over the one denominator d^m (sum alpha)_m
+    qs = [F(1, 3), tuple(F(k - 1, n + 2) for k in range(n)), 0.25, tuple(-0.5 + 0.125 * k for k in range(n))]
+    ms = range(1, m_max + 1) if n < 8 else [m_max]
+    for law in [HaarDirichletMeasure(n, q) for q in qs]:
+        for m in ms:
+            types = sorted(partitions(m))
+            nums, den = rhomean.oracle._power_sum_moments(law, types, m)
+            want = [power_sum_moment_reference(law, ct, dirichlet_moment_reference) for ct in types]
+            assert [F(x, den) for x in nums] == want, (law, m)
+    if n == 2:
+        for u in (-2, F(1, 2), 0.3):
+            for m in ms:
+                types = sorted(partitions(m))
+                nums, den = rhomean.oracle._power_sum_moments(BlochBallMeasure(u), types, m)
+                assert [F(x, den) for x in nums] == [bloch_power_sum_moment_reference(u, ct) for ct in types]
 
 
 def test_haar_mean_matches_published_4x4():
@@ -582,10 +619,15 @@ def test_integer_solver_matches_the_fraction_reference(system):
 
 def exact_mean_reference(law, m):
     """Class coefficients and spectrum as the oracle once built them: Fraction
-    rows |K| chi^lam(K) / f^lam, one Fraction moment per cycle type, and the
+    rows |K| chi^lam(K) / f^lam from the Murnaghan-Nakayama recursion, one
+    Fraction moment per cycle type summed over level assignments, and the
     Fraction Gauss-Jordan."""
     types = sorted(partitions(m))
-    moments = [power_sum_moment(law, ct) for ct in types]
+    if isinstance(law, BlochBallMeasure):
+        moments = [bloch_power_sum_moment_reference(law.u, ct) for ct in types]
+    else:
+        moment = lru_cache(maxsize=None)(dirichlet_moment)  # many assignments share k
+        moments = [power_sum_moment_reference(law, ct, moment) for ct in types]
     rows, rhs, mults = [], [], []
     for lam in partitions(m):
         wdim = unitary_group_dimension(lam, law.dim)
@@ -614,6 +656,22 @@ def test_integer_pipeline_matches_the_fraction_reference(n):
     for law, m in laws:
         result = exact_mean(law, m)
         assert (result.class_coefficients, result.spectrum()) == exact_mean_reference(law, m), (law, m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_character_rows_match_the_murnaghan_nakayama_reference(n):
+    for m in range(1, 11):
+        types = sorted(partitions(m))
+        want = [
+            (
+                symmetric_group_dimension(lam),
+                unitary_group_dimension(lam, n),
+                tuple(class_size(ct) * character(lam, ct) for ct in types),
+            )
+            for lam in partitions(m)
+            if len(lam) <= n
+        ]
+        assert list(rhomean.oracle._irreps(n, m)) == want, (n, m)
 
 
 def test_haar_mean_input_validation():

@@ -1,13 +1,16 @@
 """Partitions, characters and dimension formulas, checked against first principles."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhomean.symmetry import (
-    character,
+    beta_set,
     class_elements,
     class_size,
     compose,
@@ -15,9 +18,49 @@ from rhomean.symmetry import (
     identity,
     inverse,
     partitions,
+    power_sum_characters,
     symmetric_group_dimension,
     unitary_group_dimension,
 )
+
+
+def _beta_set(lam):
+    ell = len(lam)
+    return tuple(lam[i] + (ell - 1 - i) for i in range(ell))
+
+
+def _partition_from_beta(beta):
+    beta = sorted(beta, reverse=True)
+    ell = len(beta)
+    lam = tuple(beta[i] - (ell - 1 - i) for i in range(ell))
+    return tuple(x for x in lam if x > 0)
+
+
+@lru_cache(maxsize=None)
+def character(lam, mu):
+    """Irreducible S_m character chi^lam evaluated on cycle type mu.
+
+    Murnaghan-Nakayama recursion in the beta-set picture: removing a border
+    strip of length k is subtracting k from one first-column hook length,
+    with sign (-1)^(number of hooks jumped).  The reference for
+    ``power_sum_characters``, which adds the strips instead.
+    """
+    if sum(lam) != sum(mu):
+        raise ValueError("partition sizes differ")
+    if not mu:
+        return 1
+    k = mu[0]
+    beta = _beta_set(lam)
+    in_beta = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in in_beta:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        newbeta = [x for x in beta if x != b] + [nb]
+        total += (-1) ** height * character(_partition_from_beta(newbeta), mu[1:])
+    return total
 
 
 def test_partition_counts():
@@ -80,6 +123,29 @@ def test_character_orthogonality(m):
                 class_size(ct) * character(l1, ct) * character(l2, ct) for ct in lams
             )
             assert total == (factorial(m) if l1 == l2 else 0)
+
+
+@given(st.integers(1, 11).flatmap(lambda m: st.tuples(st.just(m), st.integers(m, m + 3))))
+@settings(max_examples=20, deadline=None)
+def test_strip_built_characters_are_orthogonal(mn):
+    # with n >= m every partition of m has a beta set: sum_K |K| chi^lam(K) chi^mu(K) = m! delta
+    m, n = mn
+    lams = partitions(m)
+    tables = [power_sum_characters(n, ct) for ct in lams]
+    betas = [beta_set(lam, n) for lam in lams]
+    assert all(set(t) <= set(betas) for t in tables)  # no key but a partition of m
+    for i, b1 in enumerate(betas):
+        for b2 in betas[i:]:
+            total = sum(class_size(ct) * t.get(b1, 0) * t.get(b2, 0) for ct, t in zip(lams, tables))
+            assert total == (factorial(m) if b1 == b2 else 0), (m, n)
+
+
+def test_beta_set_pads_to_n_rows():
+    assert beta_set((2, 1), 3) == (0, 2, 4)
+    assert beta_set((), 2) == (0, 1)
+    assert power_sum_characters(2, ()) == {(0, 1): 1}
+    # p_3 in two variables is s_3 - s_21; s_111 has three rows and no key
+    assert power_sum_characters(2, (3,)) == {beta_set((3,), 2): 1, beta_set((2, 1), 2): -1}
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
