@@ -28,14 +28,13 @@ orthogonal-conjugation ensembles are deliberately not implemented.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from math import inf, prod
 from numbers import Real
 
 import numpy as np
 
-from .linalg import Scenario, validate_density_matrix
+from .linalg import Scenario, as_integer, validate_density_matrix
 
 _MASK64 = (1 << 64) - 1
 
@@ -78,10 +77,7 @@ class HaarDirichletMeasure:
     q: tuple | Real = ()
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "n", operator.index(self.n))
-        except TypeError:
-            raise ValueError(f"dimension must be an integer, got {self.n!r}") from None
+        object.__setattr__(self, "n", as_integer("dimension", self.n))
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
         q = (self.q,) * self.n if isinstance(self.q, Real) else tuple(self.q) or (0.0,) * self.n

@@ -13,10 +13,12 @@ as the scalar |K| chi^lam(K) / f^lam.  The mean acts there as the scalar
 so the class coefficients solve the character system
 sum_K a_K |K| chi^lam(K) / f^lam = c_lam, one row per lam with at most N
 rows, whose right-hand side needs only the law's power-sum moments
-(``power_sum_moment``), for Haar x Dirichlet states and the Bloch family
-alike.  Moments over one integer denominator and rows |K| chi^lam(K) once per
+(``power_sum_moment``).  There is one moment formula, the Dirichlet sum over
+level assignments; the Bloch family enters as a mixture of two-level Dirichlet
+laws.  Moments over one integer denominator and rows |K| chi^lam(K) once per
 (N, m) are both folded a cycle at a time, memoized on cycle-type prefixes, and
-solved by Gauss-Jordan in integers, one Fraction per class coefficient.  The
+solved by Gauss-Jordan in integers, one Fraction per class coefficient; f^lam
+and dim_U(lam) are read off the same rows.  The
 p(m) class coefficients are the stored form of a result: the exact spectrum
 reads the same rows, so it needs no enumeration of S_m and no matrix.  An entry
 depends only on its monomial, so the matrix is counted on the colex multisets
@@ -34,7 +36,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from numbers import Real
 from operator import mul
 
@@ -61,8 +63,6 @@ from .symmetry import (
     class_size,
     partitions,
     power_sum_characters,
-    symmetric_group_dimension,
-    unitary_group_dimension,
 )
 
 Labelled = tuple[list[Fraction], np.ndarray]  # matrix values[labels], values distinct
@@ -101,10 +101,14 @@ def power_sum_moment(law: MeasureSpec, cycle_lengths: tuple[int, ...]) -> Fracti
     Length-1 cycles contribute p_1 = 1 exactly.  Under a Dirichlet law the
     other cycles, of total length L, expand over level assignments into
     Dirichlet moments prod_i row_i[k_i] / total[L], one per exponent vector k
-    times its count (``_exponent_counts``).  Under the Bloch law the spectrum
-    is (1 +- r)/2, so p_l = 2^(1-l) sum_j C(l, 2j) s^j is a polynomial in
-    s = r^2, and r^2 ~ Beta(3/2, 1-u) gives E[s^j] = (3/2)_j / (5/2-u)_j,
-    read from the rows of alpha = (3/2, 1-u).
+    times its count (``_exponent_counts``).  The Bloch law is a mixture of
+    three such laws on two levels: r = e_1 - e_2 has density r^2 (1-r^2)^(-u)
+    and 1 - r^2 = 4 e_1 e_2, so the eigenvalues have density proportional to
+    e_1^(2-u) e_2^(-u) - 2 (e_1 e_2)^(1-u) + e_1^(-u) e_2^(2-u), and
+    E_Bloch = (2-u)(E_a + E_c)/2 - (1-u) E_b with a, b, c the Dirichlet laws
+    of exponents q = (u-2, u), (u-1, u-1) and (u, u-2).  All three share the
+    denominator of their rising factorials (sum alpha = 4 - 2u), and c is a
+    with its levels swapped, so E_c = E_a for these symmetric functions.
     """
     if any(l < 1 for l in cycle_lengths):
         raise ValueError("cycle lengths must be positive")
@@ -135,14 +139,12 @@ def _power_sum_moments(law: MeasureSpec, types: list[tuple[int, ...]], m: int) -
             num = sum(c * prod(map(list.__getitem__, rows, k)) for k, c in _exponent_counts(law.n, lens).items())
             nums.append(num * (total[m] // total[sum(lens)]))
         return nums, total[m]
-    if isinstance(law, BlochBallMeasure):
-        row, _, total = _rising_factorials((Fraction(-1, 2), law.u), m // 2)
-        nums = []
-        for ct in types:  # 2^(len(ct) - m) prod_j p_{l_j}, as integer coefficients of s^j
-            ps = (np.array([comb(l, 2 * j) for j in range(l // 2 + 1)], dtype=object) for l in ct)
-            poly = reduce(np.convolve, ps, np.array([1], dtype=object))
-            nums.append(sum(c * row[j] * (total[-1] // total[j]) for j, c in enumerate(poly)) << len(ct))
-        return nums, total[-1] << m
+    if isinstance(law, BlochBallMeasure):  # (2 - u) E_a - (1 - u) E_b over den, u = p/r
+        u = Fraction(law.u)
+        qs = ((u - 2, u), (u - 1, u - 1))  # a and b; c = (u, u - 2) mirrors a
+        (a, den), (b, _) = (_power_sum_moments(HaarDirichletMeasure(2, q), types, m) for q in qs)
+        p, r = u.numerator, u.denominator
+        return [(2 * r - p) * x - (r - p) * y for x, y in zip(a, b)], r * den
     raise TypeError(f"no power-sum moments for the law {law!r}")
 
 
@@ -263,18 +265,21 @@ def _irreps(n: int, m: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(f^lam, dim_U(lam), chi_lam) per partition lam of m with at most n rows.
 
     W_K acts on the isotypic component lam as chi_lam[K] / f^lam, with the
-    integer chi_lam[K] = |K| chi^lam(K) and K over sorted(partitions(m)).
-    Built once per (n, m): ``exact_mean`` and ``exact_spectrum`` read the same rows.
+    integer chi_lam[K] = |K| chi^lam(K) and K over sorted(partitions(m)).  The
+    first class is the identity, and p_1^m = sum_lam f^lam s_lam, so its table
+    has a key for exactly the lam with at most n rows and chi_lam[0] = f^lam;
+    dim_U(lam) = s_lam(1^n) = sum_K chi_lam[K] n^len(K) / m!.  Built once per
+    (n, m): ``exact_mean`` and ``exact_spectrum`` read the same rows.
     """
     types = sorted(partitions(m))
     sizes = [class_size(ct) for ct in types]
     tables = [power_sum_characters(n, ct) for ct in types]
     out = []
     for lam in partitions(m):
-        if len(lam) <= n:
-            beta = beta_set(lam, n)
+        beta = beta_set(lam, n)
+        if beta in tables[0]:
             chi = tuple(size * table.get(beta, 0) for size, table in zip(sizes, tables))
-            out.append((symmetric_group_dimension(lam), unitary_group_dimension(lam, n), chi))
+            out.append((chi[0], sum(c * n ** len(ct) for c, ct in zip(chi, types)) // factorial(m), chi))
     return tuple(out)
 
 

@@ -1,10 +1,11 @@
 """Combinatorics of the symmetric group and tensor-space representation data.
 
-Everything here is exact: partitions, cycle types, irreducible characters
-(power sums in the Schur basis, built a border strip at a time), hook-length
-dimensions and the dimensions of the unitary-group representations that pair
-with them on (C^N)^(x m): the ingredients that turn class coefficients into
-exact eigenvalue/multiplicity tables.
+Everything here is exact: partitions, cycle types, class sizes and the
+irreducible characters (power sums in the Schur basis of N variables, built a
+border strip at a time).  The character rows carry both dimensions that pair
+on (C^N)^(x m): the oracle reads f^lam and dim_U(lam) off them, so no
+hook-length formula is kept.  These are the ingredients that turn class
+coefficients into exact eigenvalue/multiplicity tables.
 
 A conjugacy class of S_m is named by its cycle type, a partition of m.  The
 only place single permutations are needed is the oracle's matrix build, and
@@ -19,7 +20,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, prod
+from math import factorial
 
 
 def partitions(n: int, _cap: int | None = None) -> list[tuple[int, ...]]:
@@ -106,34 +107,6 @@ def class_size(ct: tuple[int, ...]) -> int:
     for k in mult.values():
         z *= factorial(k)
     return factorial(m) // z
-
-
-def _conjugate_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
-    if not lam:
-        return ()
-    return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))
-
-
-def _hook_lengths(lam: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """(row, column, hook length) for every cell of the Young diagram of lam."""
-    conj = _conjugate_partition(lam)
-    return [(i, j, row - j + conj[j] - i - 1) for i, row in enumerate(lam) for j in range(row)]
-
-
-def symmetric_group_dimension(lam: tuple[int, ...]) -> int:
-    """Dimension f^lam of the S_m irrep labelled by lam (hook-length formula)."""
-    d = factorial(sum(lam))
-    for _, _, hook in _hook_lengths(lam):
-        d //= hook
-    return d
-
-
-def unitary_group_dimension(lam: tuple[int, ...], n: int) -> int:
-    """Dimension of the U(n) irrep with highest weight lam; 0 if lam has > n rows."""
-    if len(lam) > n:
-        return 0
-    cells = _hook_lengths(lam)  # prod of contents over prod of hooks: the division is exact
-    return prod(n + j - i for i, j, _ in cells) // prod(hook for _, _, hook in cells)
 
 
 def beta_set(lam: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -316,11 +316,11 @@ def test_measure_json_round_trip():
         BlochBallMeasure(u=1.0)
     # the dimension is an integer; an index-like one is stored as an int
     for n in (2.7, 3.0, "3"):
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ValueError, match="^dimension must be an integer"):
             HaarDirichletMeasure(n=n)
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ValueError, match="^measure field 'n' must be an integer"):
             measure_from_json({"type": "zhsl", "n": n})
-    with pytest.raises(ValueError, match="integer"):
+    with pytest.raises(ValueError, match="^measure field 'n' must be an integer"):
         measure_from_json({"type": "zhsl", "n": True})
     assert type(HaarDirichletMeasure(n=np.int64(3)).n) is int
 

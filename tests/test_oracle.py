@@ -48,10 +48,8 @@ from rhomean.symmetry import (
     class_size,
     cycle_type,
     partitions,
-    symmetric_group_dimension,
-    unitary_group_dimension,
 )
-from test_symmetry import character  # the Murnaghan-Nakayama reference
+from test_symmetry import character, weyl_dimension  # the Murnaghan-Nakayama and Weyl references
 
 
 def per_sigma(result):
@@ -630,10 +628,10 @@ def exact_mean_reference(law, m):
         moments = [power_sum_moment_reference(law, ct, moment) for ct in types]
     rows, rhs, mults = [], [], []
     for lam in partitions(m):
-        wdim = unitary_group_dimension(lam, law.dim)
+        wdim = weyl_dimension(lam, law.dim)
         if wdim == 0:
             continue
-        f = symmetric_group_dimension(lam)
+        f = character(lam, (1,) * m)
         row = [F(class_size(ct) * character(lam, ct), f) for ct in types]
         rows.append(row)
         rhs.append(f * sum(r * p for r, p in zip(row, moments)) / (factorial(m) * wdim))
@@ -664,8 +662,8 @@ def test_character_rows_match_the_murnaghan_nakayama_reference(n):
         types = sorted(partitions(m))
         want = [
             (
-                symmetric_group_dimension(lam),
-                unitary_group_dimension(lam, n),
+                character(lam, (1,) * m),
+                weyl_dimension(lam, n),
                 tuple(class_size(ct) * character(lam, ct) for ct in types),
             )
             for lam in partitions(m)
@@ -717,7 +715,10 @@ def test_bloch_power_sum_moments():
 
 
 @given(
-    st.fractions(min_value=-5, max_value=F(11, 12), max_denominator=12),
+    st.one_of(
+        st.fractions(min_value=-5, max_value=F(11, 12), max_denominator=12),
+        st.floats(min_value=-5, max_value=0.99, allow_subnormal=False),
+    ),
     st.integers(1, 8),
 )
 @settings(max_examples=25, deadline=None)
@@ -725,6 +726,24 @@ def test_bloch_exact_mean_matches_closed_form_property(u, m):
     result = exact_mean(BlochBallMeasure(u=u), m)
     assert result.spectrum() == ks_spectrum(m, u)
     assert result.trace() == 1
+
+
+@given(
+    st.one_of(
+        st.fractions(min_value=-8, max_value=F(99, 100), max_denominator=100),
+        st.floats(min_value=-8, max_value=0.99, allow_subnormal=False),
+    ),
+    st.integers(1, 10),
+)
+@example(0.99, 10)
+@example(F(1, 2), 10)  # the Bures measure
+@example(-7.25, 10)
+@settings(max_examples=20, deadline=None)
+def test_bloch_moments_are_the_dirichlet_mixture(u, m):
+    # (2 - u)(E_a + E_c)/2 - (1 - u) E_b over two-level Dirichlet laws is the polynomial in r^2
+    types = sorted(partitions(m))
+    nums, den = rhomean.oracle._power_sum_moments(BlochBallMeasure(u), types, m)
+    assert [F(x, den) for x in nums] == [bloch_power_sum_moment_reference(u, ct) for ct in types], (u, m)
 
 
 def test_bloch_exact_mean_m2_entries():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhomean.oracle import _irreps
 from rhomean.symmetry import (
     beta_set,
     class_elements,
@@ -19,8 +20,6 @@ from rhomean.symmetry import (
     inverse,
     partitions,
     power_sum_characters,
-    symmetric_group_dimension,
-    unitary_group_dimension,
 )
 
 
@@ -61,6 +60,22 @@ def character(lam, mu):
         newbeta = [x for x in beta if x != b] + [nb]
         total += (-1) ** height * character(_partition_from_beta(newbeta), mu[1:])
     return total
+
+
+def weyl_dimension(lam, n):
+    """dim_U(lam) as prod_{i<j<=n} (lam_i - lam_j + j - i) / (j - i), lam padded with zeros to n rows; 0 past n rows."""
+    if len(lam) > n:
+        return 0
+    row = list(lam) + [0] * (n - len(lam))
+    return prod(Fraction(row[i] - row[j] + j - i, j - i) for i in range(n) for j in range(i + 1, n))
+
+
+def irrep_dimensions(n, m):
+    """{lam: (f^lam, dim_U(lam))} as the oracle reads them off its character rows."""
+    lams = [lam for lam in partitions(m) if len(lam) <= n]
+    irreps = _irreps(n, m)
+    assert len(irreps) == len(lams)  # and none for a lam with more than n rows
+    return {lam: (f, wdim) for lam, (f, wdim, _) in zip(lams, irreps)}
 
 
 def test_partition_counts():
@@ -151,8 +166,9 @@ def test_beta_set_pads_to_n_rows():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_hook_dimension_equals_character_at_identity(m):
     one = tuple([1] * m)
-    for lam in partitions(m):
-        assert symmetric_group_dimension(lam) == character(lam, one)
+    for n in range(1, m + 1):
+        for lam, (f, _) in irrep_dimensions(n, m).items():
+            assert f == character(lam, one), (lam, n)
 
 
 def test_unitary_group_dimensions():
@@ -161,36 +177,23 @@ def test_unitary_group_dimensions():
 
     for n in (2, 3, 4):
         for m in (2, 3, 4):
-            assert unitary_group_dimension((m,), n) == comb(n + m - 1, m)
-            lam = tuple([1] * m)
-            assert unitary_group_dimension(lam, n) == comb(n, m)
-    # rows beyond n vanish
-    assert unitary_group_dimension((1, 1, 1), 2) == 0
+            dims = irrep_dimensions(n, m)
+            assert dims[(m,)][1] == comb(n + m - 1, m)
+            assert dims.get(tuple([1] * m), (0, 0))[1] == comb(n, m)
+    # rows beyond n vanish: (3) and (2, 1) have rows at n = 2, (1, 1, 1) has none
+    assert [(f, wdim) for f, wdim, _ in _irreps(2, 3)] == [(1, 4), (2, 2)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_unitary_group_dimension_matches_weyl_product(n):
-    # prod_{i<j<=n} (lam_i - lam_j + j - i) / (j - i), lam padded with zeros to n rows
     for m in range(11):
-        for lam in partitions(m):
-            got = unitary_group_dimension(lam, n)
+        for lam, (_, got) in irrep_dimensions(n, m).items():
             assert type(got) is int
-            if len(lam) > n:
-                assert got == 0
-                continue
-            row = list(lam) + [0] * (n - len(lam))
-            weyl = prod(
-                Fraction(row[i] - row[j] + j - i, j - i) for i in range(n) for j in range(i + 1, n)
-            )
-            assert got == weyl, (lam, n)
+            assert got == weyl_dimension(lam, n), (lam, n)
 
 
 def test_schur_weyl_dimension_count():
     # sum over partitions of f^lam * dim U(n)-irrep = n^m
     for n in (2, 3):
         for m in (2, 3, 4, 5, 6):
-            total = sum(
-                symmetric_group_dimension(lam) * unitary_group_dimension(lam, n)
-                for lam in partitions(m)
-            )
-            assert total == n**m
+            assert sum(f * wdim for f, wdim in irrep_dimensions(n, m).values()) == n**m
