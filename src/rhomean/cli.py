@@ -181,8 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # argparse applies ``type`` to a string default, so a malformed
-    # RHOMEAN_WORKERS is reported as a usage error
-    workers_default = os.environ.get("RHOMEAN_WORKERS") or os.cpu_count() or 1
+    # RHOMEAN_WORKERS is reported as a usage error.  Otherwise one worker per
+    # CPU this process may run on, which a cpuset or taskset can make fewer
+    # than the machine has.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers_default = os.environ.get("RHOMEAN_WORKERS") or cpus
 
     p = sub.add_parser("sample", help="draw one random density matrix")
     p.add_argument("--measure", required=True, help="measure JSON (inline or file path)")

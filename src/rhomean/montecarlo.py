@@ -19,18 +19,23 @@ samples lie contiguously in one row of its block and numpy sums that row by
 itself, so the block width changes no bit, and each block's results go to
 their own contiguous slice of the chunk's colex-ordered vectors.  Chunks are
 then merged in a binary tree fixed by their number, which keeps repeated runs
-bitwise identical.  A serial run merges each chunk as its subtree completes,
-so at most one finished subtree per level waits; a pooled run still holds the
-list ``Pool.map`` returns.  The merged vectors are scattered to the
+bitwise identical.  Each subtree is merged as it completes, so at most one
+finished subtree per level waits.  The merged vectors are scattered to the
 D^m x D^m matrix once at the end through ``linalg.monomial_index``, the map
 the exact oracle labels its matrix by.
 
-With ``workers > 1`` the chunks run in one ``fork`` pool per process.  It is
+With ``workers > 1`` the calling process is one of the workers.  The merge
+tree is cut into whole subtrees, in runs of chunks as even as whole chunks
+allow, by the chunk and process counts alone.  The caller folds the tail run,
+the longest, while a ``fork`` pool of the other ``workers - 1`` processes
+folds the rest, one subtree per task, and returns one accumulator per
+subtree.  The caller then merges them above the cut in the same tree order,
+so no bit depends on the worker count.  The pool is one per process: it is
 forked by the first call that has more than one chunk, reused by later calls,
-replaced when a call needs another number of processes, and terminated at
-interpreter exit by a multiprocessing finalizer.  A chunk reads no table: its
-group sizes and offsets are binomials.  Calls that share the pool are meant to
-come from one thread at a time.
+replaced when a call needs another number of processes, ended when a fold
+fails, and terminated at interpreter exit by a multiprocessing finalizer.  A
+chunk reads no table: its group sizes and offsets are binomials.  Calls that
+share the pool are meant to come from one thread at a time.
 """
 
 from __future__ import annotations
@@ -178,21 +183,62 @@ def _merge(a, b):
     return n, mean, m2_re, m2_im
 
 
-def _tree_reduce(stats, count: int):
-    """Merge the next ``count`` accumulators of the iterator ``stats`` in order.
+def _half(count: int) -> int:
+    """Chunks in the left subtree of a node over ``count``: the largest power of two below it."""
+    return 1 << ((count - 1).bit_length() - 1)
 
-    The first 2^k of them, 2^k the largest power of two below ``count``, are
+
+def _tree_reduce(stats, count: int, start: int = 0, drawn=frozenset()):
+    """Merge the next accumulators of the iterator ``stats`` over ``count`` chunks in order.
+
+    The first 2^k chunks, 2^k the largest power of two below ``count``, are
     merged with the rest, each side by the same rule: the tree of merging
     neighbours pairwise level by level, fixed by ``count`` alone.  Each side
     is folded as it is drawn, so at most one finished subtree per level waits.
+    ``start`` numbers the first of the ``count`` chunks.  A subtree listed in
+    ``drawn`` as (first chunk, chunks) is one accumulator of ``stats``, folded
+    elsewhere by the same rule.
     """
-    if count == 1:
+    if count == 1 or (start, count) in drawn:
         return next(stats)
-    half = 1 << ((count - 1).bit_length() - 1)
-    return _merge(_tree_reduce(stats, half), _tree_reduce(stats, count - half))
+    half = _half(count)
+    left = _tree_reduce(stats, half, start, drawn)
+    return _merge(left, _tree_reduce(stats, count - half, start + half, drawn))
 
 
-#: This process's worker pool as (processes, pool, end), keyed by the pid that
+def _subtrees(lo: int, hi: int, start: int, count: int) -> list[tuple[int, int]]:
+    """The largest subtrees of node (start, count) within chunks lo..hi - 1, in order."""
+    if hi <= start or start + count <= lo:
+        return []
+    if lo <= start and start + count <= hi:
+        return [(start, count)]
+    half = _half(count)
+    return _subtrees(lo, hi, start, half) + _subtrees(lo, hi, start + half, count - half)
+
+
+def _cut(count: int, processes: int) -> list[list[tuple[int, int]]]:
+    """The merge tree over ``count`` chunks cut into whole subtrees, one share per process.
+
+    A share is a contiguous run of chunks, listed as its largest subtrees in
+    order.  The runs' lengths differ by at most one, and the last run, the
+    calling process's, is the longest, since it ends with the partial chunk
+    when there is one.
+    """
+    bounds = [count * p // processes for p in range(processes + 1)]
+    return [_subtrees(lo, hi, 0, count) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _fold(task):
+    """The accumulator of one subtree of the merge tree from its chunks' jobs.
+
+    The chunk function travels with the jobs, by name, so that a pool forked
+    before the caller's ``_chunk_stats`` was replaced still runs the caller's.
+    """
+    chunk, jobs = task
+    return _tree_reduce(map(chunk, jobs), len(jobs))
+
+
+#: This process's worker pool as (size, pool, end), keyed by the pid that
 #: forked it.  ``end()`` terminates the pool once; as a multiprocessing
 #: finalizer it also runs at interpreter exit, ahead of the pool's own, so
 #: teardown finds no running pool.  A process forked from an owner inherits the
@@ -205,24 +251,35 @@ def _end_pool(pid: int) -> None:
     _pools.pop(pid)[2]()
 
 
-def _pool_map(jobs: list, processes: int) -> list:
-    """``_chunk_stats`` over ``jobs`` in this process's pool of ``processes``."""
-    pid = os.getpid()
-    if pid in _pools and _pools[pid][0] != processes:
+def _pooled_fold(chunk, jobs: list, processes: int):
+    """``_fold`` of ``jobs`` by this process and its pool of ``processes - 1``.
+
+    The pool folds each subtree of every share of ``_cut`` but the last as one
+    task, while this process folds the last share's subtrees itself.  The
+    subtree accumulators are then merged above the cut in tree order.
+    """
+    *shares, own = _cut(len(jobs), processes)
+    theirs = [node for share in shares for node in share]
+    pid, size = os.getpid(), processes - 1
+    if pid in _pools and _pools[pid][0] != size:
         _end_pool(pid)
     if pid not in _pools:
         # imported here, as the pool's own modules are, so that a process that
         # never samples in parallel does not load them
         from multiprocessing.util import Finalize
 
-        pool = multiprocessing.get_context("fork").Pool(processes)
-        _pools[pid] = (processes, pool, Finalize(pool, pool.terminate, exitpriority=16))
+        pool = multiprocessing.get_context("fork").Pool(size)
+        _pools[pid] = (size, pool, Finalize(pool, pool.terminate, exitpriority=16))
     try:
-        return _pools[pid][1].map(_chunk_stats, jobs, chunksize=1)
+        tasks = [(chunk, jobs[s : s + c]) for s, c in theirs]
+        pending = _pools[pid][1].map_async(_fold, tasks, chunksize=1)
+        mine = [_fold((chunk, jobs[s : s + c])) for s, c in own]
+        stats = pending.get() + mine
     except BaseException:
-        # a failed or interrupted map may leave tasks behind: start afresh
+        # a failed or interrupted fold may leave tasks behind: start afresh
         _end_pool(pid)
         raise
+    return _tree_reduce(iter(stats), len(jobs), 0, {*theirs, *own})
 
 
 def estimate_mean(
@@ -232,7 +289,13 @@ def estimate_mean(
     seed: int = 0,
     workers: int = 1,
 ) -> MeanEstimate:
-    """Unbiased sample mean of rho^(x m) with deterministic chunked reduction."""
+    """Unbiased sample mean of rho^(x m) with deterministic chunked reduction.
+
+    ``workers`` counts the processes that fold chunks, the calling process
+    among them: it forks a pool of ``workers - 1``, fewer if there are fewer
+    chunks, and ``workers=1`` folds every chunk here.  The result is bitwise
+    the same for every worker count.
+    """
     names = ("m", "n_samples", "workers", "seed")
     m, n_samples, workers, seed = map(as_integer, names, (m, n_samples, workers, seed))
     scenario = scenario_for(spec, m)
@@ -248,8 +311,10 @@ def estimate_mean(
         counts.append(n_samples % size)
     jobs = [(spec, m, seed, i, c) for i, c in enumerate(counts)]
     processes = min(workers, len(jobs))
-    stats = map(_chunk_stats, jobs) if processes == 1 else _pool_map(jobs, processes)
-    n, mean, m2_re, m2_im = _tree_reduce(iter(stats), len(jobs))
+    if processes == 1:
+        n, mean, m2_re, m2_im = _fold((_chunk_stats, jobs))
+    else:
+        n, mean, m2_re, m2_im = _pooled_fold(_chunk_stats, jobs, processes)
     denom = n * (n - 1)
     # elementwise, so the same bits as on the full matrix, at one value per monomial
     stderr_re, stderr_im = np.sqrt(m2_re / denom), np.sqrt(m2_im / denom)

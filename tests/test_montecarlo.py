@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import weakref
 from dataclasses import replace
+from functools import partial
 from itertools import accumulate, combinations_with_replacement, permutations
 from math import comb
 
@@ -151,6 +152,30 @@ def test_tree_reduce_builds_the_level_by_level_tree(monkeypatch):
         stats = iter(range(count + 1))
         assert montecarlo._tree_reduce(stats, count) == _list_tree_reduce(list(range(count))), count
         assert next(stats) == count  # drew exactly its own accumulators
+
+
+def test_cut_subtrees_merged_above_the_cut_give_the_tree_bitwise():
+    rng = np.random.default_rng(23)
+    for count in range(1, 65):
+        # cheap accumulators of a few samples each, with 3 monomials
+        stats = [
+            (int(k), rng.normal(size=3) + 1j * rng.normal(size=3), rng.random(3), rng.random(3))
+            for k in rng.integers(1, 9, count)
+        ]
+        want = _list_tree_reduce(stats)
+        for processes in range(2, 7):
+            shares = montecarlo._cut(count, processes)
+            runs = [sum(c for _, c in share) for share in shares]
+            assert len(shares) == processes and max(runs) - min(runs) <= 1, (count, processes)
+            assert runs[-1] == -(-count // processes), (count, processes)  # the caller's tail
+            nodes = [node for share in shares for node in share]
+            assert [i for s, c in nodes for i in range(s, s + c)] == list(range(count))
+            folded = iter([montecarlo._fold((stats.__getitem__, range(s, s + c))) for s, c in nodes])
+            got = montecarlo._tree_reduce(folded, count, 0, set(nodes))
+            assert next(folded, None) is None, (count, processes)  # drew every subtree
+            assert got[0] == want[0], (count, processes)
+            for a, b in zip(got[1:], want[1:]):
+                assert np.array_equal(a, b), (count, processes)
 
 
 def test_serial_run_merges_each_chunk_as_its_subtree_completes(monkeypatch):
@@ -356,7 +381,7 @@ def test_pool_is_forked_once_and_reused(fresh_pool):
         one = estimate_mean(spec, m, 20_000, seed=17, workers=1)
         _assert_same_estimate(one, estimate_mean(spec, m, 20_000, seed=17, workers=2))
         children.append(_children())
-    assert len(children[0]) == 2
+    assert len(children[0]) == 1
     assert children[1] == children[0]
 
 
@@ -367,18 +392,19 @@ def test_pool_is_replaced_when_its_size_changes(fresh_pool):
     for workers in (2, 3, 2):
         _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=19, workers=workers))
         alive = set(_children())
-        assert len(alive) == workers and not alive & before, workers
+        assert len(alive) == workers - 1 and not alive & before, workers
         before = alive
 
 
-def _failing_chunk(args):
-    if args[3] == 1:
-        raise RuntimeError(f"chunk 1 failed in process {os.getpid()}")
+def _failing_chunk(args, failing=1):
+    if args[3] == failing:
+        raise RuntimeError(f"chunk {failing} failed in process {os.getpid()}")
     return _chunk_stats(args)
 
 
 def test_failed_chunk_surfaces_and_the_next_call_forks_afresh(fresh_pool, monkeypatch):
-    spec = HaarDirichletMeasure(n=2)
+    spec = HaarDirichletMeasure(n=2)  # 4 chunks: 0 and 1 in the pool's share
+    assert montecarlo._cut(4, 2)[0] == [(0, 2)]
     one = estimate_mean(spec, 2, 30_000, seed=20, workers=1)
     _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=20, workers=2))
     failed_pool = set(_children())
@@ -390,7 +416,24 @@ def test_failed_chunk_surfaces_and_the_next_call_forks_afresh(fresh_pool, monkey
     assert os.getpid() not in montecarlo._pools
     assert _children() == []
     _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=20, workers=2))
-    assert len(_children()) == 2 and not set(_children()) & failed_pool
+    assert len(_children()) == 1 and not set(_children()) & failed_pool
+
+
+def test_failed_chunk_of_the_callers_share_ends_the_pool(fresh_pool, monkeypatch):
+    spec = HaarDirichletMeasure(n=2)  # 4 chunks: 2 and 3 in the caller's share
+    assert montecarlo._cut(4, 2)[1] == [(2, 2)]
+    one = estimate_mean(spec, 2, 30_000, seed=20, workers=1)
+    _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=20, workers=2))
+    failed_pool = set(_children())
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_chunk_stats", partial(_failing_chunk, failing=3))
+        with pytest.raises(RuntimeError, match="chunk 3 failed in process") as exc:
+            estimate_mean(spec, 2, 30_000, seed=20, workers=2)
+    assert str(exc.value) == f"chunk 3 failed in process {os.getpid()}"  # raised by the caller
+    assert os.getpid() not in montecarlo._pools
+    assert _children() == []
+    _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=20, workers=2))
+    assert len(_children()) == 1 and not set(_children()) & failed_pool
 
 
 def _estimate_digest(est) -> str:
@@ -409,7 +452,7 @@ def _estimate_in_child(conn):
 def test_forked_process_forks_a_pool_of_its_own():
     est = estimate_mean(HaarDirichletMeasure(n=3), 2, 20_000, seed=21, workers=2)
     parent_pool = _children()
-    assert len(parent_pool) == 2
+    assert len(parent_pool) == 1
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_estimate_in_child, args=(send,))
@@ -421,7 +464,7 @@ def test_forked_process_forks_a_pool_of_its_own():
         proc.kill()
         proc.join()
     assert proc.exitcode == 0 and recv.poll(0)
-    assert recv.recv() == (_estimate_digest(est), 2)
+    assert recv.recv() == (_estimate_digest(est), 1)
     # the child left the parent's pool alone, and it still serves the parent
     assert _children() == parent_pool
     again = estimate_mean(HaarDirichletMeasure(n=3), 2, 20_000, seed=21, workers=2)
@@ -560,5 +603,17 @@ def test_workers_env_default_and_worker_count_validation(monkeypatch):
     monkeypatch.setenv("RHOMEAN_WORKERS", "3")
     argv = ["mean", "--measure", '{"type":"zhsl","n":2}', "--m", "2", "--samples", "100"]
     assert build_parser().parse_args(argv).workers == 3
+    # unset, one worker per CPU the process may run on, wherever it can be read
+    monkeypatch.delenv("RHOMEAN_WORKERS")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    assert build_parser().parse_args(argv).workers == 3
+    monkeypatch.setenv("RHOMEAN_WORKERS", "2")
+    assert build_parser().parse_args(argv).workers == 2
+    monkeypatch.delenv("RHOMEAN_WORKERS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert build_parser().parse_args(argv).workers == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(argv).workers == 1
     with pytest.raises(ValueError):
         estimate_mean(HaarDirichletMeasure(n=2), 2, 1_000, workers=0)
