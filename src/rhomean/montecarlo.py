@@ -30,12 +30,13 @@ allow, by the chunk and process counts alone.  The caller folds the tail run,
 the longest, while a ``fork`` pool of the other ``workers - 1`` processes
 folds the rest, one subtree per task, and returns one accumulator per
 subtree.  The caller then merges them above the cut in the same tree order,
-so no bit depends on the worker count.  The pool is one per process: it is
-forked by the first call that has more than one chunk, reused by later calls,
-replaced when a call needs another number of processes, ended when a fold
-fails, and terminated at interpreter exit by a multiprocessing finalizer.  A
-chunk reads no table: its group sizes and offsets are binomials.  Calls that
-share the pool are meant to come from one thread at a time.
+so no bit depends on the worker count.  The pool is one per process and per
+worker count: it is forked by the first call that has more than one chunk,
+reused by later calls with the same ``workers``, whose processes idle when a
+call has fewer chunks, replaced when a call asks for another ``workers``, ended
+when a fold fails, and terminated at interpreter exit by a multiprocessing
+finalizer.  A chunk reads no table: its group sizes and offsets are binomials.
+Calls that share the pool are meant to come from one thread at a time.
 """
 
 from __future__ import annotations
@@ -228,17 +229,12 @@ def _cut(count: int, processes: int) -> list[list[tuple[int, int]]]:
     return [_subtrees(lo, hi, 0, count) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _fold(task):
-    """The accumulator of one subtree of the merge tree from its chunks' jobs.
-
-    The chunk function travels with the jobs, by name, so that a pool forked
-    before the caller's ``_chunk_stats`` was replaced still runs the caller's.
-    """
-    chunk, jobs = task
-    return _tree_reduce(map(chunk, jobs), len(jobs))
+def _fold(jobs):
+    """The accumulator of one subtree of the merge tree from its chunks' jobs."""
+    return _tree_reduce(map(_chunk_stats, jobs), len(jobs))
 
 
-#: This process's worker pool as (size, pool, end), keyed by the pid that
+#: This process's worker pool as (workers, pool, end), keyed by the pid that
 #: forked it.  ``end()`` terminates the pool once; as a multiprocessing
 #: finalizer it also runs at interpreter exit, ahead of the pool's own, so
 #: teardown finds no running pool.  A process forked from an owner inherits the
@@ -251,29 +247,29 @@ def _end_pool(pid: int) -> None:
     _pools.pop(pid)[2]()
 
 
-def _pooled_fold(chunk, jobs: list, processes: int):
-    """``_fold`` of ``jobs`` by this process and its pool of ``processes - 1``.
+def _pooled_fold(jobs: list, workers: int):
+    """``_fold`` of ``jobs`` by this process and its pool of ``workers - 1``.
 
-    The pool folds each subtree of every share of ``_cut`` but the last as one
-    task, while this process folds the last share's subtrees itself.  The
-    subtree accumulators are then merged above the cut in tree order.
+    The merge tree is cut for ``min(workers, len(jobs))`` processes.  The pool
+    folds each subtree of every share of ``_cut`` but the last as one task,
+    while this process folds the last share's subtrees itself.  The subtree
+    accumulators are then merged above the cut in tree order.
     """
-    *shares, own = _cut(len(jobs), processes)
+    *shares, own = _cut(len(jobs), min(workers, len(jobs)))
     theirs = [node for share in shares for node in share]
-    pid, size = os.getpid(), processes - 1
-    if pid in _pools and _pools[pid][0] != size:
+    pid = os.getpid()
+    if pid in _pools and _pools[pid][0] != workers:
         _end_pool(pid)
     if pid not in _pools:
         # imported here, as the pool's own modules are, so that a process that
         # never samples in parallel does not load them
         from multiprocessing.util import Finalize
 
-        pool = multiprocessing.get_context("fork").Pool(size)
-        _pools[pid] = (size, pool, Finalize(pool, pool.terminate, exitpriority=16))
+        pool = multiprocessing.get_context("fork").Pool(workers - 1)
+        _pools[pid] = (workers, pool, Finalize(pool, pool.terminate, exitpriority=16))
     try:
-        tasks = [(chunk, jobs[s : s + c]) for s, c in theirs]
-        pending = _pools[pid][1].map_async(_fold, tasks, chunksize=1)
-        mine = [_fold((chunk, jobs[s : s + c])) for s, c in own]
+        pending = _pools[pid][1].map_async(_fold, [jobs[s : s + c] for s, c in theirs], chunksize=1)
+        mine = [_fold(jobs[s : s + c]) for s, c in own]  # while the pool folds the rest
         stats = pending.get() + mine
     except BaseException:
         # a failed or interrupted fold may leave tasks behind: start afresh
@@ -292,9 +288,9 @@ def estimate_mean(
     """Unbiased sample mean of rho^(x m) with deterministic chunked reduction.
 
     ``workers`` counts the processes that fold chunks, the calling process
-    among them: it forks a pool of ``workers - 1``, fewer if there are fewer
-    chunks, and ``workers=1`` folds every chunk here.  The result is bitwise
-    the same for every worker count.
+    among them: it forks a pool of ``workers - 1``, of which a call with fewer
+    chunks uses fewer, and ``workers=1`` folds every chunk here.  The result is
+    bitwise the same for every worker count.
     """
     names = ("m", "n_samples", "workers", "seed")
     m, n_samples, workers, seed = map(as_integer, names, (m, n_samples, workers, seed))
@@ -310,11 +306,10 @@ def estimate_mean(
     if n_samples % size:
         counts.append(n_samples % size)
     jobs = [(spec, m, seed, i, c) for i, c in enumerate(counts)]
-    processes = min(workers, len(jobs))
-    if processes == 1:
-        n, mean, m2_re, m2_im = _fold((_chunk_stats, jobs))
+    if min(workers, len(jobs)) == 1:
+        n, mean, m2_re, m2_im = _fold(jobs)
     else:
-        n, mean, m2_re, m2_im = _pooled_fold(_chunk_stats, jobs, processes)
+        n, mean, m2_re, m2_im = _pooled_fold(jobs, workers)
     denom = n * (n - 1)
     # elementwise, so the same bits as on the full matrix, at one value per monomial
     stderr_re, stderr_im = np.sqrt(m2_re / denom), np.sqrt(m2_im / denom)

@@ -16,7 +16,8 @@ rows, whose right-hand side needs only the law's power-sum moments
 (``power_sum_moment``).  There is one moment formula, the Dirichlet sum over
 level assignments; the Bloch family enters as a mixture of two-level Dirichlet
 laws.  Moments over one integer denominator and rows |K| chi^lam(K) once per
-(N, m) are both folded a cycle at a time, memoized on cycle-type prefixes, and
+(N, m) are both folded a cycle at a time on cycle-type prefixes (the moments'
+exponent counts kept for one call, the rows' tables for the process), and
 solved by Gauss-Jordan in integers, one Fraction per class coefficient; f^lam
 and dim_U(lam) are read off the same rows.  The
 p(m) class coefficients are the stored form of a result: the exact spectrum
@@ -116,27 +117,31 @@ def power_sum_moment(law: MeasureSpec, cycle_lengths: tuple[int, ...]) -> Fracti
     return Fraction(num, den)
 
 
-@lru_cache(maxsize=None)
-def _exponent_counts(n: int, lens: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """How many assignments of cycles of lengths ``lens`` to n levels give each exponent vector (shared)."""
-    if not lens:
-        return {(0,) * n: 1}
-    out: dict[tuple[int, ...], int] = {}
-    for k, c in _exponent_counts(n, lens[:-1]).items():  # the last cycle adds its length to one level
-        for i in range(n):
-            key = k[:i] + (k[i] + lens[-1],) + k[i + 1 :]
-            out[key] = out.get(key, 0) + c
-    return out
+def _exponent_counts(n: int, lens: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
+    """How many assignments of cycles of lengths ``lens`` to n levels give each exponent vector.
+
+    ``memo`` maps the cycle-length prefixes counted so far to their counts; the
+    caller starts it at ``{(): {(0,) * n: 1}}`` and keeps it for one batch.
+    """
+    if lens not in memo:
+        out: dict[tuple[int, ...], int] = {}
+        for k, c in _exponent_counts(n, lens[:-1], memo).items():  # the last cycle adds its length to one level
+            for i in range(n):
+                key = k[:i] + (k[i] + lens[-1],) + k[i + 1 :]
+                out[key] = out.get(key, 0) + c
+        memo[lens] = out
+    return memo[lens]
 
 
 def _power_sum_moments(law: MeasureSpec, types: list[tuple[int, ...]], m: int) -> tuple[list[int], int]:
     """``power_sum_moment`` of cycle types of at most m slots, as integer numerators over one denominator."""
     if isinstance(law, HaarDirichletMeasure):
         *rows, total = _rising_factorials(law.q, m)
-        nums = []
+        nums, memo = [], {(): {(0,) * law.n: 1}}  # counts shared by the cycle types' prefixes
         for ct in types:  # over total[L], and total[m] / total[L] is an integer
             lens = tuple(l for l in ct if l > 1)
-            num = sum(c * prod(map(list.__getitem__, rows, k)) for k, c in _exponent_counts(law.n, lens).items())
+            counts = _exponent_counts(law.n, lens, memo)
+            num = sum(c * prod(map(list.__getitem__, rows, k)) for k, c in counts.items())
             nums.append(num * (total[m] // total[sum(lens)]))
         return nums, total[m]
     if isinstance(law, BlochBallMeasure):  # (2 - u) E_a - (1 - u) E_b over den, u = p/r

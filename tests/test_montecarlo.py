@@ -170,7 +170,7 @@ def test_cut_subtrees_merged_above_the_cut_give_the_tree_bitwise():
             assert runs[-1] == -(-count // processes), (count, processes)  # the caller's tail
             nodes = [node for share in shares for node in share]
             assert [i for s, c in nodes for i in range(s, s + c)] == list(range(count))
-            folded = iter([montecarlo._fold((stats.__getitem__, range(s, s + c))) for s, c in nodes])
+            folded = iter([montecarlo._tree_reduce(map(stats.__getitem__, range(s, s + c)), c) for s, c in nodes])
             got = montecarlo._tree_reduce(folded, count, 0, set(nodes))
             assert next(folded, None) is None, (count, processes)  # drew every subtree
             assert got[0] == want[0], (count, processes)
@@ -385,7 +385,7 @@ def test_pool_is_forked_once_and_reused(fresh_pool):
     assert children[1] == children[0]
 
 
-def test_pool_is_replaced_when_its_size_changes(fresh_pool):
+def test_pool_is_replaced_when_the_worker_count_changes(fresh_pool):
     spec = HaarDirichletMeasure(n=2)  # 4 chunks
     one = estimate_mean(spec, 2, 30_000, seed=19, workers=1)
     before: set[int] = set()
@@ -396,8 +396,43 @@ def test_pool_is_replaced_when_its_size_changes(fresh_pool):
         before = alive
 
 
-def _failing_chunk(args, failing=1):
-    if args[3] == failing:
+def test_short_job_reuses_the_pool(fresh_pool):
+    # a call with fewer chunks than workers leaves processes idle, not re-forked
+    spec = HaarDirichletMeasure(n=2)
+    children = []
+    for n_samples, chunks in ((30_000, 4), (12_000, 2), (30_000, 4)):
+        assert -(-n_samples // chunk_size_for(scenario_for(spec, 2).dim)) == chunks
+        one = estimate_mean(spec, 2, n_samples, seed=24, workers=1)
+        _assert_same_estimate(one, estimate_mean(spec, 2, n_samples, seed=24, workers=3))
+        children.append(_children())
+    assert len(children[0]) == 2
+    assert children[1] == children[0] and children[2] == children[0]
+
+
+def _chunk_after_the_callers(args, started):
+    # the pool's chunks 0 and 1 wait until the caller has started its chunk 2
+    if args[3] >= 2:
+        started.set()
+    elif not started.wait(20):
+        raise RuntimeError("the caller did not fold its share beside the pool")
+    return _chunk_stats(args)
+
+
+def test_caller_folds_its_share_while_the_pool_folds_the_rest(fresh_pool, monkeypatch):
+    spec = HaarDirichletMeasure(n=2)  # 4 chunks: 0 and 1 in the pool's share
+    assert montecarlo._cut(4, 2) == [[(0, 2)], [(2, 2)]]
+    one = estimate_mean(spec, 2, 30_000, seed=25, workers=1)
+    started = multiprocessing.get_context("fork").Event()
+    monkeypatch.setattr(montecarlo, "_chunk_stats", partial(_chunk_after_the_callers, started=started))
+    try:  # the pool is forked on the patched kernel
+        _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=25, workers=2))
+    finally:
+        if os.getpid() in montecarlo._pools:
+            montecarlo._end_pool(os.getpid())
+
+
+def _failing_chunk(args, failing=1, seed=20):
+    if args[2:4] == (seed, failing):
         raise RuntimeError(f"chunk {failing} failed in process {os.getpid()}")
     return _chunk_stats(args)
 
@@ -406,10 +441,12 @@ def test_failed_chunk_surfaces_and_the_next_call_forks_afresh(fresh_pool, monkey
     spec = HaarDirichletMeasure(n=2)  # 4 chunks: 0 and 1 in the pool's share
     assert montecarlo._cut(4, 2)[0] == [(0, 2)]
     one = estimate_mean(spec, 2, 30_000, seed=20, workers=1)
-    _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=20, workers=2))
-    failed_pool = set(_children())
     with monkeypatch.context() as patch:
+        # a pool runs the kernel it was forked with: this call forks it on the patch
         patch.setattr(montecarlo, "_chunk_stats", _failing_chunk)
+        estimate_mean(spec, 2, 30_000, seed=19, workers=2)
+        failed_pool = set(_children())
+        assert len(failed_pool) == 1
         with pytest.raises(RuntimeError, match="chunk 1 failed in process") as exc:
             estimate_mean(spec, 2, 30_000, seed=20, workers=2)
     assert str(exc.value) != f"chunk 1 failed in process {os.getpid()}"  # raised in a worker
