@@ -144,27 +144,20 @@ def symbolic_matrix_from_json(obj: dict) -> SymbolicMatrix:
     return SymbolicMatrix(rp, sp)
 
 
-def matrix_kind(obj: dict) -> str:
-    """Classify a matrix JSON object as complex, rational or symbolic."""
-    entries = _check_entry_count(obj)[2]
-    e = entries[0] if entries else [0, 0]
-    if isinstance(e, str):
-        return "rational"
-    if isinstance(e, dict):
-        return "symbolic"
-    return "complex"
-
-
 def any_matrix_to_float(obj: dict) -> np.ndarray:
-    """Load any matrix schema as a float/complex array (symbolic at pi)."""
-    kind = matrix_kind(obj)
-    if kind == "complex":
-        return complex_matrix_from_json(obj)
-    if kind == "rational":
+    """Load any matrix schema as a float/complex array (symbolic at pi).
+
+    The first entry picks the schema: a "p/q" string is rational, an object is
+    r + s/pi and anything else is complex.  Each schema's reader checks every entry.
+    """
+    rows, cols, entries = _check_entry_count(obj)
+    if isinstance(entries[0], str):
         # float() of each distinct Fraction; no Fraction matrix is built
-        values, labels = _labelled_rationals(*_check_entry_count(obj))
+        values, labels = _labelled_rationals(rows, cols, entries)
         return _gather([float(x) for x in values], labels, np.float64)
-    return substitute_v(symbolic_matrix_from_json(obj), math.pi)
+    if isinstance(entries[0], dict):
+        return substitute_v(symbolic_matrix_from_json(obj), math.pi)
+    return complex_matrix_from_json(obj)
 
 
 def class_key(ct: tuple[int, ...]) -> str:

@@ -89,7 +89,7 @@ def selection_rule(sym: SymbolicMatrix) -> np.ndarray:
 class Cluster:
     value: float
     multiplicity: int
-    basis: np.ndarray  # (dim, multiplicity), orthonormal columns
+    basis: np.ndarray  # (dim, multiplicity), the cluster's eigenvector columns
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,8 @@ def cluster_spectrum(
 ) -> SpectralDecomposition:
     """Merge eigenvalues whose adjacent gaps are below ``cluster_tol``.
 
-    Cluster values are means, bases are re-orthonormalized per cluster, and a
+    Cluster values are means, and bases are each cluster's eigenvector columns,
+    orthonormal when the input's columns are (as ``hermitian_eig``'s are).  A
     decomposition is flagged unstable when any adjacent gap lands in the
     ambiguous band (cluster_tol, 3 * cluster_tol).
     """
@@ -120,10 +121,8 @@ def cluster_spectrum(
     start = 0
     for i in range(1, len(vals) + 1):
         if i == len(vals) or vals[i] - vals[i - 1] > cluster_tol:
-            block = vecs[:, start:i]
-            q, _ = np.linalg.qr(block)
             clusters.append(
-                Cluster(value=float(vals[start:i].mean()), multiplicity=i - start, basis=q)
+                Cluster(value=float(vals[start:i].mean()), multiplicity=i - start, basis=vecs[:, start:i])
             )
             start = i
     return SpectralDecomposition(clusters=tuple(clusters), stable=stable)

@@ -32,6 +32,7 @@ from rhomean.montecarlo import (
 )
 from rhomean.oracle import composite_haar_mean, exact_mean, haar_mean
 from rhomean.linalg import Scenario, monomial_index, permutation_operator, tensor_power
+from rhomean.verify import Budget, run_case
 
 PAIR_22 = ProductMeasure(factors=(HaarDirichletMeasure(n=2), HaarDirichletMeasure(n=2)))
 PAIR_23 = ProductMeasure(factors=(HaarDirichletMeasure(n=2), HaarDirichletMeasure(n=3)))
@@ -407,6 +408,16 @@ def test_short_job_reuses_the_pool(fresh_pool):
         children.append(_children())
     assert len(children[0]) == 2
     assert children[1] == children[0] and children[2] == children[0]
+
+
+def test_verify_keeps_the_runs_pool_through_the_determinism_case(fresh_pool):
+    # mc.determinism compares one worker with the run's own three
+    budget = Budget(samples=20_000, workers=3)
+    assert run_case("mc.m1", budget).status == "PASS"
+    children = _children()
+    rep = run_case("mc.determinism", budget)
+    assert len(children) == 2 and _children() == children
+    assert rep.status == "PASS" and rep.notes.endswith("at 1 and 3 workers"), rep.notes
 
 
 def _chunk_after_the_callers(args, started):

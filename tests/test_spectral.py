@@ -77,8 +77,10 @@ def test_cluster_spectrum_fixture_multiplicities():
     assert sorted(dec.multiplicities, reverse=True) == [3, 2, 1, 1, 1, 1]
     assert dec.stable
     assert sum(dec.multiplicities) == 9
-    # cluster bases are orthonormal and mutually orthogonal
+    # cluster bases are the eigenvector columns in eigenvalue order, bit for bit,
+    # and so orthonormal and mutually orthogonal
     basis = np.hstack([c.basis for c in dec.clusters])
+    assert np.array_equal(basis, vecs[:, np.argsort(vals)])
     assert np.abs(basis.conj().T @ basis - np.eye(9)).max() < 1e-10
 
 
