@@ -6,9 +6,10 @@ W^(x m).  That pins it inside the span of the tensor-slot permutation
 operators, where it acts as one scalar on each SU(N) x S_m isotypic
 component.  The scalars follow from the eigenvalue power-sum moments through
 the S_m character table, and the class coefficients (one per cycle type)
-solve the rational character system they define.  Spectra are read from that
-system directly; the dense matrix is built only when it is printed.  This
-script walks through the exact means for several dimensions and powers.
+solve the rational character system they define.  Spectra merge the scalars
+directly; the class coefficients are solved, and the dense matrix built, only
+when they are printed.  This script walks through the exact means for several
+dimensions and powers.
 """
 
 from fractions import Fraction

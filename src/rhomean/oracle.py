@@ -10,19 +10,19 @@ as the scalar |K| chi^lam(K) / f^lam.  The mean acts there as the scalar
     c_lam = E[s_lam(e)] / dim_U(lam),
     E[s_lam(e)] = sum_mu chi^lam(mu) |mu| E[p_mu(e)] / m!,
 
-so the class coefficients solve the character system
-sum_K a_K |K| chi^lam(K) / f^lam = c_lam, one row per lam with at most N
-rows, whose right-hand side needs only the law's power-sum moments
+so the eigenvalue on each component needs only the law's power-sum moments
 (``power_sum_moment``).  There is one moment formula, the Dirichlet sum over
 level assignments; the Bloch family enters as a mixture of two-level Dirichlet
 laws.  Moments over one integer denominator and rows |K| chi^lam(K) once per
 (N, m) are both folded a cycle at a time on cycle-type prefixes (the moments'
-exponent counts kept for one call, the rows' tables for the process), and
-solved by Gauss-Jordan in integers, one Fraction per class coefficient; f^lam
-and dim_U(lam) are read off the same rows.  The
-p(m) class coefficients are the stored form of a result: the exact spectrum
-reads the same rows, so it needs no enumeration of S_m and no matrix.  An entry
-depends only on its monomial, so the matrix is counted on the colex multisets
+exponent counts kept for one call, the rows' tables for the process); f^lam
+and dim_U(lam) are read off the same rows.  The records (lam, f^lam,
+dim_U(lam), c_lam) are the stored form of a single law's result: the exact
+spectrum merges them, with no solve, no enumeration of S_m and no matrix.
+Only the matrix needs the class coefficients, solved once on first read by
+Gauss-Jordan in integers from the character system sum_K a_K |K| chi^lam(K) /
+f^lam = c_lam, one row per lam with at most N rows.  An entry depends only on
+its monomial, so the matrix is counted on the colex multisets
 (``linalg.monomial_sets``) and gathered once into ``linalg.monomial_index`` as
 labels: distinct Fractions ``values`` (17 of 65536 entries at N=4, m=4) and a
 (D, D) integer array; Kronecker products and reordering touch each value once,
@@ -33,7 +33,7 @@ components of (C^N)^(x m), not from diagonalization.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
@@ -189,33 +189,57 @@ def solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[Fraction
     return sol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OracleResult:
-    """Exact mean of rho^(x m), stored as its S_m class coefficients.
+    """Exact mean of rho^(x m), stored as one record per isotypic component.
 
-    ``class_coefficients`` maps each cycle type K, in sorted(partitions(m))
-    order, to a_K in mean = sum_K a_K W_K, where W_K is the sum of the slot
-    permutation operators V_sigma over the class.  ``spectrum()`` reads them
-    through the character system.  ``labelled`` and the dense ``mean``
-    (values[labels]) are built on first read and cached.
+    ``isotypic`` holds (lam, f^lam, dim_U(lam), c_lam) in ``_irreps`` order:
+    the mean acts on component lam as the scalar c_lam.  A single law fills it
+    from its moments; a result read back from an artifact derives it from its
+    ``class_coefficients``: a_K per cycle type K, in sorted(partitions(m))
+    order, in mean = sum_K a_K W_K with W_K the sum of the slot permutation
+    operators V_sigma over the class.  They are solved from the records on
+    first read, and ``labelled`` and the dense ``mean`` (values[labels]) are
+    built from them, each once.
 
-    Products of independent laws have no class coefficients; they carry the
-    factor spectra and pass their labelled matrix as ``matrix``, as do
-    results read back from an artifact.  The dimension cap applies when the
-    matrix is built, not to the spectrum.
+    Products of independent laws have neither; they carry the factor spectra,
+    and their matrix is the factors' (or the ``matrix`` an artifact gives).  The
+    dimension cap applies when the matrix is built, not to the spectrum.
     """
 
     scenario: Scenario
     measure: MeasureSpec
-    class_coefficients: dict[tuple[int, ...], Fraction] | None = None
     factor_spectra: tuple[tuple[tuple[Fraction, int], ...], ...] | None = None
-    matrix: InitVar[Labelled | None] = None
 
-    def __post_init__(self, matrix):
-        if matrix is not None:
-            self.__dict__["labelled"] = matrix  # fills the cached property
-        elif self.class_coefficients is None:
-            raise ValueError("a result without class coefficients needs its matrix")
+    def __init__(self, scenario, measure, *, isotypic=None, class_coefficients=None, factor_spectra=None, matrix=None):
+        self.__dict__.update(scenario=scenario, measure=measure, factor_spectra=factor_spectra)
+        if isotypic is None and class_coefficients is None:  # neither can be derived from the other
+            if matrix is None and not isinstance(measure, ProductMeasure):
+                raise ValueError("a single law's result needs its isotypic records, class coefficients or matrix")
+            self.__dict__.update(isotypic=None, class_coefficients=None)
+        # what is given fills its cached property; the others are built on first read
+        given = {"isotypic": isotypic, "class_coefficients": class_coefficients, "labelled": matrix}
+        self.__dict__.update({name: value for name, value in given.items() if value is not None})
+
+    @cached_property
+    def isotypic(self) -> tuple[tuple[tuple[int, ...], int, int, Fraction], ...]:
+        """Records of a result read back from an artifact: c_lam = sum_K a_K chi_lam[K] / f^lam."""
+        (n,), m = self.scenario.factors, self.scenario.power
+        coeffs, den = _over_lcm([self.class_coefficients[ct] for ct in sorted(partitions(m))])
+        return tuple((lam, f, w, Fraction(sum(map(mul, chi, coeffs)), f * den)) for lam, f, w, chi in _irreps(n, m))
+
+    @cached_property
+    def class_coefficients(self) -> dict[tuple[int, ...], Fraction]:
+        """a_K from chi_lam . (L a) = f^lam (L c_lam) in integers, L the lcm of the c_lam's denominators.
+
+        The solve pins the free classes of a rank-deficient system (n < m) to
+        zero, so the dense build skips them.
+        """
+        (n,), m = self.scenario.factors, self.scenario.power
+        scalars, den = _over_lcm([c for *_, c in self.isotypic])
+        rows = [chi for *_, chi in _irreps(n, m)]
+        x = solve_integer_system(rows, [f * c for (_, f, _, _), c in zip(self.isotypic, scalars)])
+        return {ct: a / den for ct, a in zip(sorted(partitions(m)), x)}
 
     @cached_property
     def labelled(self) -> Labelled:
@@ -224,7 +248,13 @@ class OracleResult:
         V_sigma has its 1 at (R, C) when R's letter at slot sigma(k) is C's
         letter k for every k, so an entry is 0 unless R and C hold the same
         letters, and is otherwise sum_K a_K times the number of such sigma in K.
+        A product's is the kron of its factors', slots reordered (``exact_mean``).
         """
+        if isinstance(self.measure, ProductMeasure):
+            m, laws = self.scenario.power, self.measure.factors
+            values, labels = reduce(labelled_kron, [exact_mean(f, m).labelled for f in laws])
+            dims, k = [f.dim for f in laws for _ in range(m)], len(laws)  # factor-major subsystems
+            return values, reorder_subsystems(labels, dims, tuple(i * m + s for s in range(m) for i in range(k)))
         (n,), m, d = self.scenario.factors, self.scenario.power, self.scenario.dim
         check_dim_cap(d)
         rows, cols = np.divmod(monomial_sets(n, m), n)  # an entry (R, C) per monomial, R sorted
@@ -266,15 +296,15 @@ class OracleResult:
 
 
 @lru_cache(maxsize=None)
-def _irreps(n: int, m: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(f^lam, dim_U(lam), chi_lam) per partition lam of m with at most n rows.
+def _irreps(n: int, m: int) -> tuple[tuple[tuple[int, ...], int, int, tuple[int, ...]], ...]:
+    """(lam, f^lam, dim_U(lam), chi_lam) per partition lam of m with at most n rows.
 
     W_K acts on the isotypic component lam as chi_lam[K] / f^lam, with the
     integer chi_lam[K] = |K| chi^lam(K) and K over sorted(partitions(m)).  The
     first class is the identity, and p_1^m = sum_lam f^lam s_lam, so its table
     has a key for exactly the lam with at most n rows and chi_lam[0] = f^lam;
     dim_U(lam) = s_lam(1^n) = sum_K chi_lam[K] n^len(K) / m!.  Built once per
-    (n, m): ``exact_mean`` and ``exact_spectrum`` read the same rows.
+    (n, m): the isotypic records and the class coefficients read the same rows.
     """
     types = sorted(partitions(m))
     sizes = [class_size(ct) for ct in types]
@@ -284,7 +314,7 @@ def _irreps(n: int, m: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
         beta = beta_set(lam, n)
         if beta in tables[0]:
             chi = tuple(size * table.get(beta, 0) for size, table in zip(sizes, tables))
-            out.append((chi[0], sum(c * n ** len(ct) for c, ct in zip(chi, types)) // factorial(m), chi))
+            out.append((lam, chi[0], sum(c * n ** len(ct) for c, ct in zip(chi, types)) // factorial(m), chi))
     return tuple(out)
 
 
@@ -297,39 +327,26 @@ def _over_lcm(xs: list[Fraction]) -> tuple[list[int], int]:
 def exact_mean(law: MeasureSpec, m: int) -> OracleResult:
     """Exact E[rho^(x m)] under a unitarily invariant law (a measure spec).
 
-    A single law yields only class coefficients; its matrix is built on first
-    read.  Independence factorizes the mean of a ``ProductMeasure`` into the
-    tensor product of its factors' means; the subsystems are then reordered
-    from factor-major order (A_1..A_m, B_1..B_m, ...) to power-major order
+    A single law yields only its isotypic records, read off its moments, and a
+    ``ProductMeasure`` only its factors' spectra; the matrix is built on first
+    read.  Independence factorizes the mean of a product into the tensor
+    product of its factors' means; the subsystems are then reordered from
+    factor-major order (A_1..A_m, B_1..B_m, ...) to power-major order
     ((A_1 B_1..), (A_2 B_2..)).  Both steps run on the factors' integer labels
     (see ``labelled_kron``).
     """
     scenario = scenario_for(law, m)
     if isinstance(law, ProductMeasure):
         check_dim_cap(scenario.dim)
-        factor_results = [exact_mean(f, m) for f in law.factors]
-        values, labels = reduce(labelled_kron, [fr.labelled for fr in factor_results])
-        # factor-major subsystem list: factor i repeated over power slots
-        k = len(law.factors)
-        dims = [f.dim for f in law.factors for _ in range(m)]
-        perm = tuple(i * m + s for s in range(m) for i in range(k))
-        return OracleResult(
-            scenario=scenario,
-            measure=law,
-            factor_spectra=tuple(tuple(fr.spectrum()) for fr in factor_results),
-            matrix=(values, reorder_subsystems(labels, dims, perm)),
-        )
-    types = sorted(partitions(m))
-    moments, den = _power_sum_moments(law, types, m)
-    irreps = _irreps(law.dim, m)
-    # Row lam, chi . a / f = E[s_lam] / dim_U = chi . moments / (den m! dim_U), times
-    # f den m! dim_U, is dim_U chi . x = f chi . moments with x = den m! a, all integers.
-    # The solve pins the free classes of a rank-deficient system (n < m) to zero,
-    # so the dense build skips them.
-    rows = [[wdim * c for c in chi] for _, wdim, chi in irreps]
-    x = solve_integer_system(rows, [f * sum(map(mul, chi, moments)) for f, _, chi in irreps])
-    class_coeff = {ct: a / (den * factorial(m)) for ct, a in zip(types, x)}
-    return OracleResult(scenario=scenario, measure=law, class_coefficients=class_coeff)
+        spectra = tuple(tuple(exact_mean(f, m).spectrum()) for f in law.factors)
+        return OracleResult(scenario=scenario, measure=law, factor_spectra=spectra)
+    moments, den = _power_sum_moments(law, sorted(partitions(m)), m)
+    # c_lam = E[s_lam] / dim_U = chi_lam . moments / (den m! dim_U), with no solve
+    isotypic = tuple(
+        (lam, f, wdim, Fraction(sum(map(mul, chi, moments)), den * factorial(m) * wdim))
+        for lam, f, wdim, chi in _irreps(law.dim, m)
+    )
+    return OracleResult(scenario=scenario, measure=law, isotypic=isotypic)
 
 
 def haar_mean(n: int, m: int, q: tuple | Real = 0) -> OracleResult:
@@ -345,20 +362,15 @@ def exact_spectrum(result: OracleResult) -> list[tuple[Fraction, int]]:
     """Exact eigenvalues with multiplicities, ascending.
 
     Single factor: the mean is central in the image of the group algebra of
-    S_m, so it acts as a scalar on each irreducible component lam of
-    (C^N)^(x m); the scalar is sum_K a_K |K| chi^lam(K) / f^lam, read from
-    the class coefficients alone, and the component has dimension
-    f^lam * (Weyl dimension).  Composite scenarios
-    multiply the factor spectra.
+    S_m, so it acts as the scalar c_lam on each irreducible component lam of
+    (C^N)^(x m), of dimension f^lam * (Weyl dimension); the isotypic records
+    hold both, and equal scalars merge.  Composite scenarios multiply the
+    factor spectra.
     """
-    if result.class_coefficients is not None:
-        (n,) = result.scenario.factors
-        m = result.scenario.power
-        coeffs, den = _over_lcm([result.class_coefficients[ct] for ct in sorted(partitions(m))])
+    if result.isotypic is not None:
         spec: dict[Fraction, int] = {}
-        for f, wdim, chi in _irreps(n, m):
-            val = Fraction(sum(map(mul, chi, coeffs)), f * den)
-            spec[val] = spec.get(val, 0) + f * wdim
+        for _, f, wdim, c in result.isotypic:
+            spec[c] = spec.get(c, 0) + f * wdim
         return sorted(spec.items())
     if result.factor_spectra is None:
         raise ValueError("no exact spectrum available for this result")

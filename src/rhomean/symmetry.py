@@ -4,8 +4,8 @@ Everything here is exact: partitions, cycle types, class sizes and the
 irreducible characters (power sums in the Schur basis of N variables, built a
 border strip at a time).  The character rows carry both dimensions that pair
 on (C^N)^(x m): the oracle reads f^lam and dim_U(lam) off them, so no
-hook-length formula is kept.  These are the ingredients that turn class
-coefficients into exact eigenvalue/multiplicity tables.
+hook-length formula is kept.  These are the ingredients that turn power-sum
+moments into exact eigenvalue/multiplicity tables.
 
 A conjugacy class of S_m is named by its cycle type, a partition of m.  The
 only place single permutations are needed is the oracle's matrix build, and
@@ -23,17 +23,14 @@ from itertools import permutations
 from math import factorial
 
 
-def partitions(n: int, _cap: int | None = None) -> list[tuple[int, ...]]:
-    """All partitions of n as weakly decreasing tuples, in reverse-lex order."""
+@lru_cache(maxsize=None)
+def partitions(n: int, _cap: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n as weakly decreasing tuples, in reverse-lex order, built once per (n, cap)."""
     if _cap is None:
         _cap = n
     if n == 0:
-        return [()]
-    out = []
-    for k in range(min(n, _cap), 0, -1):
-        for rest in partitions(n - k, k):
-            out.append((k,) + rest)
-    return out
+        return ((),)
+    return tuple((k,) + rest for k in range(min(n, _cap), 0, -1) for rest in partitions(n - k, k))
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:

@@ -61,6 +61,8 @@ class Budget:
     def __post_init__(self):
         if self.samples is not None and self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.workers < 1:  # as estimate_mean checks, before any case runs
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def n(self, default: int) -> int:
         return self.samples if self.samples is not None else default

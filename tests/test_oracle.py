@@ -4,6 +4,7 @@ Derived expectations are checked against independent oracles (quadrature over
 the simplex, explicit enumeration); published values are asserted exactly.
 """
 
+import json
 import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import rhomean.oracle
 from rhomean.families import bloch_family_eigenvalue_exact, spin_multiplicity
 from rhomean.fixtures import get_fixture
+from rhomean.jsonio import oracle_result_from_json, oracle_result_to_json
 from rhomean.linalg import (
     DIM_CAP,
     Scenario,
@@ -35,6 +37,7 @@ from rhomean.measures import (
     sample_haar_unitary,
 )
 from rhomean.oracle import (
+    OracleResult,
     composite_haar_mean,
     dirichlet_moment,
     exact_mean,
@@ -380,6 +383,77 @@ def test_spectrum_needs_neither_matrix_nor_enumeration(monkeypatch, n, m, q):
     assert sorted(result.class_coefficients) == sorted(partitions(m))
 
 
+def test_a_spectrum_runs_no_solve(monkeypatch):
+    # a spectrum merges the isotypic records read off the moments; only the
+    # matrix needs the class coefficients, solved once on first read
+    makers = [
+        lambda: haar_mean(3, 5, F(1, 3)),
+        lambda: haar_mean(3, 5, [F(1, 2), F(0), F(-1, 3)]),
+        lambda: exact_mean(BlochBallMeasure(-2), 5),
+        lambda: composite_haar_mean(Scenario((2, 3), 2)),
+    ]
+    want = [make().spectrum() for make in makers]
+    solve = rhomean.oracle.solve_integer_system
+
+    def refuse(rows, rhs):
+        raise AssertionError("a spectrum ran the class-coefficient solve")
+
+    monkeypatch.setattr(rhomean.oracle, "solve_integer_system", refuse)
+    for make, spec in zip(makers, want):
+        result = make()
+        assert result.spectrum() == spec
+        assert result.__dict__.get("class_coefficients") is None  # unsolved, or a product's None
+    calls = []
+
+    def counted(rows, rhs):
+        calls.append(len(rows))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(rhomean.oracle, "solve_integer_system", counted)
+    result = haar_mean(3, 4, F(1, 3))
+    first = result.class_coefficients
+    assert result.class_coefficients is first
+    assert result.mean.shape == (81, 81)
+    assert calls == [4]  # one row per partition of 4 with at most 3 rows
+
+
+def check_isotypic_records(result):
+    """The records read off the moments, against those derived from the solved
+    class coefficients and against the identities of their sizes and trace."""
+    records = result.isotypic
+    derived = OracleResult(result.scenario, result.measure, class_coefficients=result.class_coefficients)
+    assert derived.isotypic == records
+    assert all(type(c) is F for *_, c in records)
+    assert sum(f * wdim * c for _, f, wdim, c in records) == 1
+    assert sum(f * wdim for _, f, wdim, _ in records) == result.scenario.dim
+    return records
+
+
+@st.composite
+def _record_cases(draw):
+    n, m = draw(st.sampled_from([(n, m) for n in range(2, 17) for m in range(1, 9) if n**m <= 256]))
+    level = st.fractions(min_value=-3, max_value=F(99, 100), max_denominator=100)
+    return n, m, draw(st.one_of(level, st.lists(level, min_size=n, max_size=n)))
+
+
+@given(_record_cases())
+@settings(max_examples=25, deadline=None)
+def test_isotypic_records_match_the_solved_coefficients_property(case):
+    n, m, q = case
+    result = haar_mean(n, m, q)
+    records = check_isotypic_records(result)
+    back = oracle_result_from_json(json.loads(json.dumps(oracle_result_to_json(result))))
+    assert back.isotypic == records
+
+
+def test_isotypic_records_of_grouped_exponents():
+    # q in groups of 2, 3 and 1 equal levels, past the dimension cap
+    law = HaarDirichletMeasure(6, (F(1, 3), F(1, 3), F(-1, 2), F(-1, 2), F(-1, 2), F(0)))
+    result = exact_mean(law, 8)
+    check_isotypic_records(result)
+    assert (result.class_coefficients, result.spectrum()) == exact_mean_reference(law, 8)
+
+
 def test_mean_is_built_once_on_first_read():
     result = haar_mean(2, 3, 0)
     assert "mean" not in result.__dict__
@@ -679,6 +753,7 @@ def test_character_rows_match_the_murnaghan_nakayama_reference(n):
         types = sorted(partitions(m))
         want = [
             (
+                lam,
                 character(lam, (1,) * m),
                 weyl_dimension(lam, n),
                 tuple(class_size(ct) * character(lam, ct) for ct in types),

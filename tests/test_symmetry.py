@@ -74,8 +74,8 @@ def irrep_dimensions(n, m):
     """{lam: (f^lam, dim_U(lam))} as the oracle reads them off its character rows."""
     lams = [lam for lam in partitions(m) if len(lam) <= n]
     irreps = _irreps(n, m)
-    assert len(irreps) == len(lams)  # and none for a lam with more than n rows
-    return {lam: (f, wdim) for lam, (f, wdim, _) in zip(lams, irreps)}
+    assert [lam for lam, *_ in irreps] == lams  # and none for a lam with more than n rows
+    return {lam: (f, wdim) for lam, f, wdim, _ in irreps}
 
 
 def test_partition_counts():
@@ -181,7 +181,7 @@ def test_unitary_group_dimensions():
             assert dims[(m,)][1] == comb(n + m - 1, m)
             assert dims.get(tuple([1] * m), (0, 0))[1] == comb(n, m)
     # rows beyond n vanish: (3) and (2, 1) have rows at n = 2, (1, 1, 1) has none
-    assert [(f, wdim) for f, wdim, _ in _irreps(2, 3)] == [(1, 4), (2, 2)]
+    assert [(lam, f, wdim) for lam, f, wdim, _ in _irreps(2, 3)] == [((3,), 1, 4), ((2, 1), 2, 2)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rhomean.cli import main
 from rhomean.verify import CASES, Budget, Report, run_all, run_case
 
 EXACT_CASES = [cid for cid in CASES if cid not in (
@@ -74,3 +75,13 @@ def test_budget_rejects_sample_counts_below_one(samples):
     # 0 once read as "unset" and ran the full budget
     with pytest.raises(ValueError):
         Budget(samples=samples)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_budget_rejects_worker_counts_below_one(workers):
+    # mc.determinism once passed at workers=0, while mc.m1 raised from estimate_mean
+    with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+        Budget(samples=2000, workers=workers)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all", "--workers", str(workers)])
+    assert exc.value.code == 2
