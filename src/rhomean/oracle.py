@@ -250,13 +250,13 @@ class OracleResult:
         letters, and is otherwise sum_K a_K times the number of such sigma in K.
         A product's is the kron of its factors', slots reordered (``exact_mean``).
         """
+        check_dim_cap(self.scenario.dim)
         if isinstance(self.measure, ProductMeasure):
             m, laws = self.scenario.power, self.measure.factors
             values, labels = reduce(labelled_kron, [exact_mean(f, m).labelled for f in laws])
             dims, k = [f.dim for f in laws for _ in range(m)], len(laws)  # factor-major subsystems
             return values, reorder_subsystems(labels, dims, tuple(i * m + s for s in range(m) for i in range(k)))
         (n,), m, d = self.scenario.factors, self.scenario.power, self.scenario.dim
-        check_dim_cap(d)
         rows, cols = np.divmod(monomial_sets(n, m), n)  # an entry (R, C) per monomial, R sorted
         shape = (n,) * m  # kept if C's letters, sorted (its word's content), are R's
         content = np.ravel_multi_index(np.sort(np.unravel_index(np.arange(d), shape), axis=0), shape)
@@ -337,7 +337,6 @@ def exact_mean(law: MeasureSpec, m: int) -> OracleResult:
     """
     scenario = scenario_for(law, m)
     if isinstance(law, ProductMeasure):
-        check_dim_cap(scenario.dim)
         spectra = tuple(tuple(exact_mean(f, m).spectrum()) for f in law.factors)
         return OracleResult(scenario=scenario, measure=law, factor_spectra=spectra)
     moments, den = _power_sum_moments(law, sorted(partitions(m)), m)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rhomean.fixtures import get_fixture
 from rhomean.linalg import (
     Scenario,
+    _components,
     bloch_density,
     check_dim_cap,
     distinct_entries,
@@ -162,6 +163,106 @@ def test_hermitian_eig_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         hermitian_eig(bad)
+    # block diagonal, with a complex diagonal entry in its second block
+    with pytest.raises(ValueError):
+        hermitian_eig(np.diag([1.0, 2.0 + 1e-6j, 3.0]))
+    # a non-finite entry, in a block of its own or not: one eigh of it raised
+    # or returned NaN, and a batched eigh of its block returns NaN eigenvalues
+    # with no error
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        for h in (np.diag([1.0, 2.0, 3.0]), np.ones((3, 3))):
+            h = h.astype(type(bad))
+            h[0, 1] = h[1, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                hermitian_eig(h)
+
+
+def permuted_block_diagonal(sizes, seed, complex_entries):
+    """A random Hermitian matrix of dense blocks of the given sizes, rows shuffled, and each row's block."""
+    rng = np.random.default_rng(seed)
+    d = sum(sizes)
+    h = np.zeros((d, d), dtype=complex if complex_entries else float)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    for b, s in enumerate(sizes):
+        a = rng.normal(size=(s, s)) + (1j * rng.normal(size=(s, s)) if complex_entries else 0)
+        h[np.ix_(block == b, block == b)] = a + a.conj().T
+    perm = rng.permutation(d)
+    return h[np.ix_(perm, perm)], block[perm]
+
+
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=9), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_hermitian_eig_splits_permuted_block_diagonal_matrices(sizes, seed, complex_entries):
+    h, block = permuted_block_diagonal(sizes, seed, complex_entries)
+    vals, vecs = hermitian_eig(h)
+    assert vecs.dtype == h.dtype
+    assert np.all(np.diff(vals) >= 0)
+    assert np.abs(vals - np.linalg.eigvalsh(h)).max() < 1e-12
+    assert np.abs(vecs.conj().T @ vecs - np.eye(len(h))).max() < 1e-12
+    assert np.abs(h @ vecs - vecs * vals).max() < 1e-12
+    # each eigenvector lies in one block exactly: its entries elsewhere are 0, not roundoff
+    for column in vecs.T:
+        assert len(set(block[column != 0].tolist())) == 1
+
+
+def search_components(linked):
+    """Reference: a depth-first search from each unlabelled node, in node order."""
+    labels = [-1] * len(linked)
+    for root in range(len(linked)):
+        if labels[root] >= 0:
+            continue
+        labels[root], stack = root, [root]
+        while stack:
+            for v in np.flatnonzero(linked[stack.pop()]).tolist():
+                if labels[v] < 0:
+                    labels[v] = root
+                    stack.append(v)
+    return labels
+
+
+@given(st.integers(1, 80), st.floats(0, 0.2), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_components_are_labelled_by_their_least_node(d, density, seed, add_path):
+    rng = np.random.default_rng(seed)
+    linked = rng.random((d, d)) < density
+    if add_path:  # a long chain through a random order of the nodes
+        order = rng.permutation(d)
+        linked[order[:-1], order[1:]] = True
+    linked |= linked.T
+    assert _components(linked).tolist() == search_components(linked)
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_hermitian_eig_of_a_matrix_without_zeros_is_one_eigh(d, seed, complex_entries):
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.5, 1.5, (d, d)) * rng.choice([-1, 1], (d, d))
+    if complex_entries:
+        h = h + 1j * rng.uniform(0.5, 1.5, (d, d))
+    h = h + h.conj().T + rng.uniform(-1e-12, 1e-12, (d, d))  # a defect within tol, averaged away
+    vals, vecs = hermitian_eig(h)
+    ref_vals, ref_vecs = np.linalg.eigh((h + h.conj().T) / 2)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+
+def test_hermitian_eig_of_diagonal_and_small_matrices():
+    vals, vecs = hermitian_eig(np.eye(4))
+    assert np.array_equal(vals, np.ones(4)) and np.array_equal(vecs, np.eye(4))
+    vals, vecs = hermitian_eig(np.diag([3.0, -1.0, 2.0, -1.0]))
+    # the stable sort keeps equal values in row order
+    assert np.array_equal(vals, [-1.0, -1.0, 2.0, 3.0])
+    assert np.array_equal(vecs, np.eye(4)[:, [1, 3, 2, 0]])
+    # a zero row and column is an eigenvector of 0 by itself
+    h = np.array([[2.0, 0.0, 1j], [0.0, 0.0, 0.0], [-1j, 0.0, 2.0]])
+    vals, vecs = hermitian_eig(h)
+    assert np.abs(vals - [0.0, 1.0, 3.0]).max() < 1e-15
+    assert np.array_equal(vecs[:, 0], [0, 1, 0]) and np.all(vecs[1, 1:] == 0)
+    assert np.abs(h @ vecs - vecs * vals).max() < 1e-15
+    vals, vecs = hermitian_eig(np.array([[5.0]]))
+    assert np.array_equal(vals, [5.0]) and np.array_equal(vecs, [[1.0]])
+    # integer input is averaged to floats, as one eigh of it would be
+    vals, vecs = hermitian_eig(np.array([[2, 0], [0, 1]]))
+    assert vals.dtype == float and np.array_equal(vals, [1.0, 2.0])
 
 
 def test_density_validation_and_bloch():
@@ -212,6 +313,12 @@ def setdefault_labels(seq):
     return list(first), index
 
 
+def two_pass_labels(seq):
+    """Reference labeller in two passes: the distinct values first, then each entry's lookup."""
+    first = {x: i for i, x in enumerate(dict.fromkeys(seq))}
+    return list(first), np.fromiter(map(first.__getitem__, seq), np.intp, len(seq))
+
+
 # equal values of different types hash alike, so which one is seen first
 # decides the stored value: Fraction(1, 2) == 0.5 and 1 == True == 1.0
 _equal_values = st.sampled_from([Fraction(1, 2), 0.5, 1, True, 1.0, Fraction(1), 0, False, -0.0])
@@ -222,10 +329,15 @@ _entries = st.one_of(_equal_values, st.fractions(-2, 2, max_denominator=6), st.t
 @settings(max_examples=200, deadline=None)
 def test_distinct_entries_matches_setdefault_loop(seq):
     values, index = distinct_entries(seq)
-    ref_values, ref_index = setdefault_labels(seq)
-    assert values == ref_values
-    assert [type(v) for v in values] == [type(v) for v in ref_values]
-    assert index.dtype == np.intp and index.tolist() == ref_index
+    for ref_values, ref_index in (setdefault_labels(seq), two_pass_labels(seq)):
+        assert values == ref_values
+        assert [type(v) for v in values] == [type(v) for v in ref_values]
+        assert index.dtype == np.intp and index.tolist() == list(ref_index)
+
+
+def test_distinct_entries_rejects_unhashable_entries():
+    with pytest.raises(TypeError):
+        distinct_entries(["1/2", Fraction(1, 2), ["1/2"]])
 
 
 @pytest.mark.parametrize("dim, m", [(2, 1), (2, 7), (3, 4), (4, 3), (9, 2), (16, 1), (257, 1)])

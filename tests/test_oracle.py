@@ -780,8 +780,11 @@ def test_haar_mean_input_validation():
     assert sum(k for _, k in over.spectrum()) == 2**13
     with pytest.raises(ValueError):
         over.mean
+    # a product's too: 6^5 = 7776 exceeds it, the factors' spectra multiply
+    over = composite_haar_mean(Scenario((2, 3), 5))
+    assert sum(k for _, k in over.spectrum()) == 6**5
     with pytest.raises(ValueError):
-        composite_haar_mean(Scenario((2, 3), 5))  # 6^5 = 7776 exceeds it too
+        over.mean
 
 
 def ks_spectrum(m, u):
