@@ -27,26 +27,30 @@ the exact oracle labels its matrix by.
 With ``workers > 1`` the calling process is one of the workers.  The merge
 tree is cut into whole subtrees, in runs of chunks as even as whole chunks
 allow, by the chunk and process counts alone.  The caller folds the tail run,
-the longest, while a ``fork`` pool of the other ``workers - 1`` processes
-folds the rest, one subtree per task, and returns one accumulator per
-subtree.  The caller then merges them above the cut in the same tree order,
-so no bit depends on the worker count.  The pool is one per process and per
-worker count: it is forked by the first call that has more than one chunk,
-reused by later calls with the same ``workers``, whose processes idle when a
-call has fewer chunks, replaced when a call asks for another ``workers``, ended
-when a fold fails, and terminated at interpreter exit by a multiprocessing
-finalizer.  A chunk reads no table: its group sizes and offsets are binomials.
-Calls that share the pool are meant to come from one thread at a time.
+the longest, while each of ``workers - 1`` forked processes folds one other
+run: the caller pickles the run's jobs to it down one pipe and reads back one
+accumulator per subtree up another.  The caller then merges them above the cut
+in the same tree order, so no bit depends on the worker count.  The workers
+are one set per process and per worker count: forked by the first call that has
+more than one chunk, reused by later calls with the same ``workers``, idle when
+a call has fewer chunks, replaced when a call asks for another ``workers``, and
+killed and reaped when a fold fails or is interrupted and at interpreter exit.
+A worker exits by itself on EOF, so it does not outlive an owner that dies
+without cleanup; every forked process closes the pipe ends it inherits, so that
+none of them holds a worker open.  A chunk reads no table: its group sizes and
+offsets are binomials.  Calls that share the workers are meant to come from one
+thread at a time.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import atexit
 import os
+import pickle
+import signal
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,10 +61,6 @@ from .measures import (
     sample_density_batch,
     scenario_for,
 )
-
-if TYPE_CHECKING:
-    from multiprocessing.pool import Pool
-    from multiprocessing.util import Finalize
 
 #: Target number of D^m x D^m entries per chunk batch.  The chunk boundaries
 #: fix the Philox draws, so they are deliberately still sized on the D^(2m)
@@ -234,48 +234,99 @@ def _fold(jobs):
     return _tree_reduce(map(_chunk_stats, jobs), len(jobs))
 
 
-#: This process's worker pool as (workers, pool, end), keyed by the pid that
-#: forked it.  ``end()`` terminates the pool once; as a multiprocessing
-#: finalizer it also runs at interpreter exit, ahead of the pool's own, so
-#: teardown finds no running pool.  A process forked from an owner inherits the
-#: owner's entry and leaves it alone: its threads, pipes and workers are the
-#: owner's, and even its last reference going would signal the owner's pool.
-_pools: dict[int, tuple[int, Pool, Finalize]] = {}
+#: This process's workers as (workers, [(pid, shares, replies), ...]), keyed by
+#: the pid that forked them: the owner writes a worker's shares to pipe end
+#: ``shares`` and reads its replies from ``replies``.  Any forked process, a
+#: worker too, drops the entries it inherits and closes those ends, so a worker
+#: sees EOF once its owner closes them or dies.
+_pools: dict[int, tuple[int, list[tuple[int, int, int]]]] = {}
 
 
-def _end_pool(pid: int) -> None:
-    _pools.pop(pid)[2]()
+def _end_pool(pid: int, kill: bool = True) -> None:
+    """Drop ``pid``'s workers and close their pipes; ``kill`` also kills and reaps them."""
+    for child, *ends in _pools.pop(pid)[1]:
+        for end in ends:
+            os.close(end)
+        if kill:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+
+
+def _end_pools(kill: bool = True) -> None:
+    for pid in list(_pools):
+        _end_pool(pid, kill)
+
+
+os.register_at_fork(after_in_child=partial(_end_pools, kill=False))
+atexit.register(_end_pools)
+
+
+def _fork_worker() -> tuple[int, int, int]:
+    """(pid, shares, replies) of a new worker that folds each share it is sent.
+
+    The worker answers a failed fold with its exception, and leaves by
+    ``os._exit`` on EOF or on any error, so it never returns to its owner's code.
+    """
+    (shares_in, shares), (replies, replies_out) = os.pipe(), os.pipe()
+    child = os.fork()
+    if child:
+        os.close(shares_in)
+        os.close(replies_out)
+        return child, shares, replies
+    try:
+        os.close(shares)
+        os.close(replies)
+        with open(shares_in, "rb") as inbox, open(replies_out, "wb") as outbox:
+            while True:
+                share = pickle.load(inbox)  # EOFError once the owner's end is closed
+                try:
+                    reply = [_fold(part) for part in share]
+                except BaseException as exc:
+                    pickle.dump(exc, outbox, pickle.HIGHEST_PROTOCOL)
+                    raise
+                pickle.dump(reply, outbox, pickle.HIGHEST_PROTOCOL)
+                outbox.flush()
+    finally:
+        os._exit(0)
 
 
 def _pooled_fold(jobs: list, workers: int):
-    """``_fold`` of ``jobs`` by this process and its pool of ``workers - 1``.
+    """``_fold`` of ``jobs`` by this process and its ``workers - 1`` workers.
 
-    The merge tree is cut for ``min(workers, len(jobs))`` processes.  The pool
-    folds each subtree of every share of ``_cut`` but the last as one task,
-    while this process folds the last share's subtrees itself.  The subtree
-    accumulators are then merged above the cut in tree order.
+    The merge tree is cut for ``min(workers, len(jobs))`` processes.  Worker k
+    folds the subtrees of share k of ``_cut`` while this process folds the last
+    share, and the subtree accumulators are merged above the cut in tree order.
     """
     *shares, own = _cut(len(jobs), min(workers, len(jobs)))
     theirs = [node for share in shares for node in share]
     pid = os.getpid()
     if pid in _pools and _pools[pid][0] != workers:
         _end_pool(pid)
-    if pid not in _pools:
-        # imported here, as the pool's own modules are, so that a process that
-        # never samples in parallel does not load them
-        from multiprocessing.util import Finalize
-
-        pool = multiprocessing.get_context("fork").Pool(workers - 1)
-        _pools[pid] = (workers, pool, Finalize(pool, pool.terminate, exitpriority=16))
     try:
-        pending = _pools[pid][1].map_async(_fold, [jobs[s : s + c] for s, c in theirs], chunksize=1)
-        mine = [_fold(jobs[s : s + c]) for s, c in own]  # while the pool folds the rest
-        stats = pending.get() + mine
+        if pid not in _pools:
+            _pools[pid] = (workers, [])
+            for _ in range(workers - 1):  # each listed before the next fork, which closes its ends
+                _pools[pid][1].append(_fork_worker())
+        procs = _pools[pid][1][: len(shares)]
+        for (_, pipe, _), share in zip(procs, shares):
+            with open(pipe, "wb", closefd=False) as outbox:
+                pickle.dump([jobs[s : s + c] for s, c in share], outbox, pickle.HIGHEST_PROTOCOL)
+        mine = [_fold(jobs[s : s + c]) for s, c in own]  # while the workers fold the rest
+        stats = []
+        for child, _, pipe in procs:
+            with open(pipe, "rb", closefd=False) as inbox:
+                try:
+                    reply = pickle.load(inbox)
+                except EOFError:
+                    raise RuntimeError(f"Monte Carlo worker {child} died without a reply") from None
+            if isinstance(reply, BaseException):
+                raise reply
+            stats += reply
     except BaseException:
-        # a failed or interrupted fold may leave tasks behind: start afresh
+        # a failed or interrupted fold may leave work behind: start afresh
         _end_pool(pid)
         raise
-    return _tree_reduce(iter(stats), len(jobs), 0, {*theirs, *own})
+    return _tree_reduce(iter(stats + mine), len(jobs), 0, {*theirs, *own})
 
 
 def estimate_mean(
@@ -288,7 +339,7 @@ def estimate_mean(
     """Unbiased sample mean of rho^(x m) with deterministic chunked reduction.
 
     ``workers`` counts the processes that fold chunks, the calling process
-    among them: it forks a pool of ``workers - 1``, of which a call with fewer
+    among them: it forks ``workers - 1`` workers, of which a call with fewer
     chunks uses fewer, and ``workers=1`` folds every chunk here.  The result is
     bitwise the same for every worker count.
     """

@@ -1,19 +1,26 @@
 """Monte Carlo estimator: convergence, error bars, bitwise reproducibility."""
 
+import glob
 import hashlib
-import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
+import time
 import weakref
 from dataclasses import replace
 from functools import partial
 from itertools import accumulate, combinations_with_replacement, permutations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rhomean
 from rhomean import montecarlo
 from rhomean.fixtures import get_fixture
 from rhomean.measures import (
@@ -364,7 +371,34 @@ def _assert_same_estimate(a, b):
 
 
 def _children() -> list[int]:
-    return sorted(p.pid for p in multiprocessing.active_children())
+    """This process's child pids, read from /proc: a worker counts until it is reaped."""
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path) as f:
+            pids += map(int, f.read().split())
+    return sorted(pids)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _wait(pid: int, timeout: float = 60) -> int:
+    """The exit code of child ``pid``; it is killed if it runs past ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    raise AssertionError(f"process {pid} ran past {timeout} s")
 
 
 @pytest.fixture
@@ -421,25 +455,27 @@ def test_verify_keeps_the_runs_pool_through_the_determinism_case(fresh_pool):
 
 
 def _chunk_after_the_callers(args, started):
-    # the pool's chunks 0 and 1 wait until the caller has started its chunk 2
+    # the worker's chunks 0 and 1 wait until the caller has started its chunk 2
     if args[3] >= 2:
-        started.set()
-    elif not started.wait(20):
-        raise RuntimeError("the caller did not fold its share beside the pool")
+        os.write(started[1], b"2")
+    elif not select.select([started[0]], [], [], 20)[0]:
+        raise RuntimeError("the caller did not fold its share beside the workers")
     return _chunk_stats(args)
 
 
 def test_caller_folds_its_share_while_the_pool_folds_the_rest(fresh_pool, monkeypatch):
-    spec = HaarDirichletMeasure(n=2)  # 4 chunks: 0 and 1 in the pool's share
+    spec = HaarDirichletMeasure(n=2)  # 4 chunks: 0 and 1 in the worker's share
     assert montecarlo._cut(4, 2) == [[(0, 2)], [(2, 2)]]
     one = estimate_mean(spec, 2, 30_000, seed=25, workers=1)
-    started = multiprocessing.get_context("fork").Event()
+    started = os.pipe()
     monkeypatch.setattr(montecarlo, "_chunk_stats", partial(_chunk_after_the_callers, started=started))
-    try:  # the pool is forked on the patched kernel
+    try:  # the worker is forked on the patched kernel
         _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=25, workers=2))
     finally:
         if os.getpid() in montecarlo._pools:
             montecarlo._end_pool(os.getpid())
+        for fd in started:
+            os.close(fd)
 
 
 def _failing_chunk(args, failing=1, seed=20):
@@ -484,6 +520,25 @@ def test_failed_chunk_of_the_callers_share_ends_the_pool(fresh_pool, monkeypatch
     assert len(_children()) == 1 and not set(_children()) & failed_pool
 
 
+def _dying_chunk(args):
+    if args[3] == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _chunk_stats(args)
+
+
+def test_worker_that_dies_mid_fold_surfaces_and_the_next_call_forks_afresh(fresh_pool, monkeypatch):
+    spec = HaarDirichletMeasure(n=2)  # 4 chunks: 0 and 1 in the worker's share
+    one = estimate_mean(spec, 2, 30_000, seed=20, workers=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_chunk_stats", _dying_chunk)  # the worker is forked on it
+        with pytest.raises(RuntimeError, match=r"worker \d+ died without a reply"):
+            estimate_mean(spec, 2, 30_000, seed=20, workers=2)
+    assert os.getpid() not in montecarlo._pools
+    assert _children() == []
+    _assert_same_estimate(one, estimate_mean(spec, 2, 30_000, seed=20, workers=2))
+    assert len(_children()) == 1
+
+
 def _estimate_digest(est) -> str:
     h = hashlib.sha256()
     for field in (est.mean, est.stderr_real, est.stderr_imag):
@@ -491,33 +546,109 @@ def _estimate_digest(est) -> str:
     return h.hexdigest()
 
 
-def _estimate_in_child(conn):
-    est = estimate_mean(HaarDirichletMeasure(n=3), 2, 20_000, seed=21, workers=2)
-    conn.send((_estimate_digest(est), len(multiprocessing.active_children())))
-    conn.close()
-
-
 def test_forked_process_forks_a_pool_of_its_own():
     est = estimate_mean(HaarDirichletMeasure(n=3), 2, 20_000, seed=21, workers=2)
     parent_pool = _children()
     assert len(parent_pool) == 1
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_estimate_in_child, args=(send,))
-    proc.start()
-    send.close()
-    # the answer is a few bytes, so the child never blocks on the pipe
-    proc.join(60)
-    if proc.is_alive():
-        proc.kill()
-        proc.join()
-    assert proc.exitcode == 0 and recv.poll(0)
-    assert recv.recv() == (_estimate_digest(est), 1)
-    # the child left the parent's pool alone, and it still serves the parent
+    recv, send = os.pipe()
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            own = estimate_mean(HaarDirichletMeasure(n=3), 2, 20_000, seed=21, workers=2)
+            os.write(send, f"{_estimate_digest(own)} {len(_children())}".encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(send)
+    try:
+        # the answer is a few bytes, so the child never blocks on the pipe
+        assert _wait(child) == 0
+        assert os.read(recv, 256).decode() == f"{_estimate_digest(est)} 1"
+    finally:
+        os.close(recv)
+    # the child left the parent's workers alone, and they still serve the parent
     assert _children() == parent_pool
     again = estimate_mean(HaarDirichletMeasure(n=3), 2, 20_000, seed=21, workers=2)
     assert _estimate_digest(again) == _estimate_digest(est)
     assert _children() == parent_pool
+
+
+def test_end_pool_reaps_the_workers_beside_an_idle_forked_process(fresh_pool):
+    estimate_mean(HaarDirichletMeasure(n=2), 2, 20_000, seed=17, workers=2)
+    workers = _children()
+    assert len(workers) == 1
+    hold, release = os.pipe()
+    bystander = os.fork()
+    if bystander == 0:
+        status = 1
+        try:  # idle until released; it must have dropped the owner's workers
+            os.close(release)
+            os.read(hold, 1)
+            status = 0 if montecarlo._pools == {} else 2
+        finally:
+            os._exit(status)
+    os.close(hold)
+    try:
+        montecarlo._end_pool(os.getpid())
+        assert _children() == [bystander]
+        assert not _running(workers[0])
+    finally:
+        os.close(release)
+        assert _wait(bystander) == 0
+
+
+#: Run by a fresh interpreter: a pooled estimate, then an idle process forked
+#: from the owner, which outlives it.  Prints whether multiprocessing was
+#: imported, the workers' pids and the bystander's pid, then leaves as argv[1]
+#: says.  An exit hook registered before rhomean's runs after it, and prints
+#: the children the owner has left at exit.
+_OWNER_SCRIPT = """
+import atexit, glob, os, sys, time
+def children():
+    return [p for f in glob.glob("/proc/self/task/*/children") for p in open(f).read().split()]
+atexit.register(lambda: print("left", *children(), flush=True))
+from rhomean import HaarDirichletMeasure, estimate_mean
+estimate_mean(HaarDirichletMeasure(2), 2, 20_000, workers=3)
+workers = children()
+bystander = os.fork()
+if bystander == 0:
+    time.sleep(60)
+    os._exit(0)
+print("multiprocessing" in sys.modules, *workers, bystander, flush=True)
+if sys.argv[1] == "os._exit":
+    os._exit(0)
+"""
+
+
+@pytest.mark.parametrize("leave", ["exit", "os._exit"])
+def test_workers_do_not_outlive_their_owner(leave, tmp_path):
+    # the child imports the same rhomean as this process
+    src = str(Path(rhomean.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    # files, not pipes: the workers hold the owner's stdout, so reading a pipe
+    # to its end would wait for them to exit
+    out, err = tmp_path / "out", tmp_path / "err"
+    with open(out, "w") as stdout, open(err, "w") as stderr:
+        code = subprocess.run(
+            [sys.executable, "-c", _OWNER_SCRIPT, leave],
+            stdout=stdout, stderr=stderr, env=env, timeout=120,
+        ).returncode
+    imported, *pids = out.read_text().splitlines()[0].split()
+    *workers, bystander = map(int, pids)
+    try:
+        assert code == 0, err.read_text()
+        assert imported == "False" and len(workers) == 2
+        if leave == "exit":  # the atexit hook reaped them before the owner exited
+            assert out.read_text().splitlines()[1:] == [f"left {bystander}"]
+        else:  # no hook ran: each sees EOF on its jobs pipe and leaves
+            deadline = time.monotonic() + 20
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(map(_running, workers))
+    finally:
+        os.kill(bystander, signal.SIGKILL)
 
 
 def _dense_reference(spec, m, n_samples, seed):
