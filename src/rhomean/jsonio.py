@@ -15,8 +15,8 @@ oracle artifact is written from and read back into that form, with no dense
 Fraction matrix in between.
 
 Artifacts keep the bytes of ``json.dumps(obj, indent=1, sort_keys=True)`` plus
-a newline.  ``dumps_json`` writes them with the C string encoder, once per
-distinct string of a list, instead of the stdlib's pure-Python indent encoder.
+a newline.  ``dumps_json`` writes them with the C string encoder, quoting each
+distinct string of a list once, instead of the stdlib's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def labelled_matrix_to_json(values: list, labels: np.ndarray) -> dict:
     return {
         "rows": labels.shape[0],
         "cols": labels.shape[1],
-        "entries": texts[labels].ravel().tolist(),
+        "entries": texts.take(labels.ravel()).tolist(),
     }
 
 
@@ -113,7 +113,9 @@ def _labelled_rationals(rows: int, cols: int, texts: list) -> tuple[list[Fractio
         raise
     # distinct strings such as "1/2" and "2/4" may name one value
     values, merged = distinct_entries([_rational(t) for t in distinct])
-    return values, merged[index].reshape(rows, cols)
+    # keep the first D^2 array allocated here, below the freed temporaries, not a new one above them
+    index[...] = merged[index]
+    return values, index.reshape(rows, cols)
 
 
 def _gather(values: list, labels: np.ndarray, dtype=object) -> np.ndarray:
@@ -357,6 +359,12 @@ def estimate_from_json(obj: dict) -> MeanEstimate:
     )
 
 
+class _Quoted(dict):
+    def __missing__(self, text):  # a string's JSON text, quoted on its first lookup
+        self[text] = quoted = _quote(text)
+        return quoted
+
+
 def _indented(obj, indent: str) -> str:
     """``json.dumps(obj, indent=1, sort_keys=True)``, nested at prefix ``indent``."""
     inner = indent + " "
@@ -368,15 +376,15 @@ def _indented(obj, indent: str) -> str:
     elif isinstance(obj, (list, tuple)):
         brackets = "[]"
         try:  # all strings (matrix entries): quote each distinct string once
-            memo = {text: _quote(text) for text in dict.fromkeys(obj)}
-            items = map(memo.__getitem__, obj)
+            items = list(map(_Quoted().__getitem__, obj))
         except TypeError:  # a number, or an unhashable pair or object
             items = (_indented(x, inner) for x in obj)
     else:
         return json.dumps(obj)
     if not obj:
         return brackets
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+    # one join, so the nested text (a whole matrix) is copied once, not once per "+"
+    return "".join((brackets[0], "\n", inner, (",\n" + inner).join(items), "\n", indent, brackets[1]))
 
 
 def dumps_json(obj) -> str:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import count
 from math import comb, prod
 
 import numpy as np
@@ -130,6 +129,12 @@ def reorder_subsystems(rho: np.ndarray, dims: list[int], perm: tuple[int, ...]) 
     return rho.reshape(dims + dims).transpose(axes).reshape(d, d)
 
 
+class _FirstSeen(dict):
+    def __missing__(self, key):  # a new key's label: the number of keys seen before it
+        self[key] = label = len(self)
+        return label
+
+
 def distinct_entries(seq) -> tuple[list, np.ndarray]:
     """Distinct values of ``seq`` in first-seen order, and each entry's index into them.
 
@@ -137,16 +142,12 @@ def distinct_entries(seq) -> tuple[list, np.ndarray]:
     distinct values, can be parsed, converted or multiplied once per value
     and then gathered with ``np.array(values, dtype=object)[index]``.  Equal
     values of different types (1, 1.0, Fraction(1)) are one value, stored as
-    the one seen first.  One pass over ``seq``: ``setdefault`` gives each entry
-    the position where its value was first seen, and those positions, which
-    the dict holds in ascending order, are then ranked.  An unhashable entry
-    raises ``TypeError``.
+    the one seen first.  Each entry takes one dict lookup in C, and only a new
+    value runs Python code.  An unhashable entry raises ``TypeError``.
     """
-    first: dict = {}
-    seen_at = np.fromiter(map(first.setdefault, seq, count()), np.intp, len(seq))
-    rank = np.empty(len(seq), np.intp)
-    rank[np.fromiter(first.values(), np.intp, len(first))] = np.arange(len(first))
-    return list(first), rank[seen_at]
+    index = _FirstSeen()
+    labels = np.fromiter(map(index.__getitem__, seq), np.intp, len(seq))
+    return list(index), labels
 
 
 def monomial_index(dim: int, m: int) -> np.ndarray:
@@ -253,10 +254,12 @@ def hermitian_eig(h: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarr
         h = h.astype(np.complex128)
     if not np.isfinite(h).all():
         raise ValueError("matrix has a non-finite entry")
-    defect = np.abs(h - h.conj().T).max()
+    adjoint = h.conj().T  # a view of real input (conj returns it as is), else one copy
+    defect = np.abs(h - adjoint).max()
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian within tol: defect {defect:.3e}")
-    h = (h + h.conj().T) / 2
+    h = (h + adjoint) / 2
+    del adjoint  # a complex copy would otherwise live through the eigh calls
     labels = _components(h != 0)
     if not labels.any():
         return np.linalg.eigh(h)

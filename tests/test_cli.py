@@ -388,6 +388,26 @@ def test_emitter_matches_stdlib_indent_1(value):
     assert dumps_json(value) == json.dumps(value, indent=1, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        # a non-string ends the all-strings path wherever it stands, after some
+        # strings were quoted, and the list is written entry by entry
+        [1, "a", "b"],
+        ["a", None, "a"],
+        ["a", "b", 2.5],
+        ["a", "a", True],
+        ["a", ["b", "c"]],  # a pair, which is unhashable
+        [["1/2", "0"], ["1/2", "0"]],
+        ["1", 1],  # equal text, not an equal value
+        [],
+        {"entries": [], "rows": ["x"]},
+    ],
+)
+def test_emitter_matches_stdlib_on_lists_that_are_not_all_strings(value):
+    assert dumps_json(value) == json.dumps(value, indent=1, sort_keys=True) + "\n"
+
+
 def test_emitter_rejects_non_string_keys():
     with pytest.raises(TypeError, match="keys must be str"):
         dumps_json({"a": {1: "x"}})

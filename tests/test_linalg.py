@@ -320,8 +320,10 @@ def two_pass_labels(seq):
 
 
 # equal values of different types hash alike, so which one is seen first
-# decides the stored value: Fraction(1, 2) == 0.5 and 1 == True == 1.0
-_equal_values = st.sampled_from([Fraction(1, 2), 0.5, 1, True, 1.0, Fraction(1), 0, False, -0.0])
+# decides the stored value: Fraction(1, 2) == 0.5 and 1 == True == 1.0.  A NaN
+# equals nothing, not even itself, but a dict finds one NaN object by identity
+_NAN = float("nan")
+_equal_values = st.sampled_from([Fraction(1, 2), 0.5, 1, True, 1.0, Fraction(1), 0, False, -0.0, _NAN])
 _entries = st.one_of(_equal_values, st.fractions(-2, 2, max_denominator=6), st.text(max_size=2))
 
 
@@ -335,9 +337,25 @@ def test_distinct_entries_matches_setdefault_loop(seq):
         assert index.dtype == np.intp and index.tolist() == list(ref_index)
 
 
+def test_distinct_entries_labels_in_first_seen_order():
+    other_nan = float("nan")
+    seq = [Fraction(1), "b", 1, 1.0, _NAN, "b", True, _NAN, other_nan, Fraction(2, 2)]
+    values, index = distinct_entries(seq)
+    # 1, 1.0, True and Fraction(1) are one value, stored as the Fraction seen first
+    assert index.tolist() == [0, 1, 0, 0, 2, 1, 0, 2, 3, 0]
+    assert type(values[0]) is Fraction and values[1] == "b"
+    # one NaN object repeated is one value; another NaN object is another
+    assert values[2] is _NAN and values[3] is other_nan
+    values, index = distinct_entries([])
+    assert values == [] and index.shape == (0,) and index.dtype == np.intp
+
+
 def test_distinct_entries_rejects_unhashable_entries():
-    with pytest.raises(TypeError):
-        distinct_entries(["1/2", Fraction(1, 2), ["1/2"]])
+    for at in range(3):  # first, in the middle and last
+        seq = ["1/2", Fraction(1, 2)]
+        seq.insert(at, ["1/2"])
+        with pytest.raises(TypeError):
+            distinct_entries(seq)
 
 
 @pytest.mark.parametrize("dim, m", [(2, 1), (2, 7), (3, 4), (4, 3), (9, 2), (16, 1), (257, 1)])
